@@ -27,8 +27,10 @@
 //! out, interleaving the reps so machine drift hits both sides, and
 //! exits nonzero if the disabled path is more than PCT% slower.
 
+#![forbid(unsafe_code)]
+
 use hammertime_bench::step_loop::{
-    drive_t1_cell, drive_t1_cell_shadowed, fleet_sweep, fleet_sweep_durable, hammer_burst,
+    drive_t1_cell, drive_t1_cell_shadowed, fleet_sweep, hammer_burst,
     hammer_burst_bypassing_tracer, hammer_burst_wheel, hammer_burst_with_tracer, idle_mc,
     idle_poll, idle_poll_on, replay_from_checkpoint, replay_from_scratch, resume_digest,
     resume_setup, t1_defense_catalog, IDLE_QUANTUM,
@@ -119,7 +121,6 @@ fn main() {
     let mut check: Option<PathBuf> = None;
     let mut tolerance = 2.0f64;
     let mut gate: Option<f64> = None;
-    let mut durable_gate: Option<f64> = None;
     let mut only: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -141,34 +142,21 @@ fn main() {
                         .expect("--gate-disabled-overhead needs a percentage"),
                 );
             }
-            "--gate-durable-overhead" => {
-                durable_gate = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--gate-durable-overhead needs a percentage"),
-                );
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: step_loop [--quick] [--out PATH] [--only NAME]... \
                      [--check BASELINE.json [--tolerance PCT]] \
-                     [--gate-disabled-overhead PCT] [--gate-durable-overhead PCT]"
+                     [--gate-disabled-overhead PCT]"
                 );
                 std::process::exit(2);
             }
         }
     }
-    // The gates judge specific scenarios; a filtered run that
-    // requested a gate must include its scenario.
+    // The gate judges a specific scenario; a filtered run that
+    // requested the gate must include it.
     if gate.is_some() && !only.is_empty() && !only.iter().any(|n| n == "telemetry_off") {
         only.push("telemetry_off".into());
-    }
-    if durable_gate.is_some()
-        && !only.is_empty()
-        && !only.iter().any(|n| n == "fleet_sweep_durable")
-    {
-        only.push("fleet_sweep_durable".into());
     }
     let run = |name: &str| only.is_empty() || only.iter().any(|n| n == name);
     let out = out.unwrap_or_else(|| {
@@ -515,66 +503,6 @@ fn main() {
         ));
     }
 
-    // Durable-journal overhead: the same sweep with the epoch journal
-    // attached against the plain sweep. Reps are interleaved and the
-    // median paired ratio is what `--gate-durable-overhead` judges —
-    // the `--durable` flag must stay nearly free (the journal writes
-    // one postings record + commit marker per epoch, not state).
-    let mut durable_overhead_pct: Option<f64> = None;
-    if run("fleet_sweep_durable") {
-        let dir = std::env::temp_dir().join(format!("ht-bench-durable-{}", std::process::id()));
-        let plain_ref = fleet_sweep(fleet_machines.min(12), 1);
-        let durable_ref = fleet_sweep_durable(fleet_machines.min(12), 1, &dir);
-        assert_eq!(
-            serde_json::to_string(&plain_ref).unwrap(),
-            serde_json::to_string(&durable_ref).unwrap(),
-            "durable fleet run diverged from the plain run"
-        );
-        // A larger population than the timing sweep keeps each timed
-        // region well above fsync/scheduler-tick noise: the journal
-        // cost is per *epoch* (a postings record plus commit marker),
-        // so it shrinks relative to simulation as machines grow.
-        let gate_machines = fleet_machines * 2;
-        let mut plain = f64::INFINITY;
-        let mut durable = f64::INFINITY;
-        let mut ratios = Vec::new();
-        for rep in 0..9 {
-            let (d, p) = if rep % 2 == 0 {
-                let t = Instant::now();
-                fleet_sweep_durable(gate_machines, 1, &dir);
-                let d = t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                fleet_sweep(gate_machines, 1);
-                (d, t.elapsed().as_secs_f64())
-            } else {
-                let t = Instant::now();
-                fleet_sweep(gate_machines, 1);
-                let p = t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                fleet_sweep_durable(gate_machines, 1, &dir);
-                (t.elapsed().as_secs_f64(), p)
-            };
-            durable = durable.min(d);
-            plain = plain.min(p);
-            ratios.push(d / p);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        ratios.sort_by(f64::total_cmp);
-        let median_pct = 100.0 * (ratios[ratios.len() / 2] - 1.0);
-        durable_overhead_pct = Some(median_pct);
-        eprintln!(
-            "fleet_sweep_durable: {gate_machines} machines x9, journal on best {durable:.3}s, \
-             off best {plain:.3}s (median {median_pct:+.2}% overhead)"
-        );
-        scenarios.push(scenario(
-            "fleet_sweep_durable",
-            "machines",
-            gate_machines as u64,
-            durable,
-            plain,
-        ));
-    }
-
     let report = Report {
         bench: "step_loop".into(),
         mode: if quick { "quick" } else { "full" }.into(),
@@ -591,15 +519,6 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("gate passed: disabled-telemetry overhead {measured:+.2}% within {pct}%");
-    }
-
-    if let Some(pct) = durable_gate {
-        let measured = durable_overhead_pct.expect("gate forces the fleet_sweep_durable scenario");
-        if measured > pct {
-            eprintln!("gate FAILED: durable-journal overhead {measured:+.2}% exceeds {pct}%");
-            std::process::exit(1);
-        }
-        eprintln!("gate passed: durable-journal overhead {measured:+.2}% within {pct}%");
     }
 
     if let Some(path) = check {

@@ -12,7 +12,7 @@ use hammertime_check::ShadowChecker;
 use hammertime_common::geometry::BankId;
 use hammertime_common::{CacheLineAddr, Cycle, DetRng, DomainId, Geometry, RequestSource};
 use hammertime_dram::{DramConfig, DramModule, TimingParams, TrrConfig};
-use hammertime_fleet::{run_fleet, run_fleet_durable, FleetConfig, FleetReport, RunControl};
+use hammertime_fleet::{run_fleet, FleetConfig, FleetReport};
 use hammertime_memctrl::request::{MemRequest, RequestKind};
 use hammertime_memctrl::{McMitigationConfig, MemCtrl, MemCtrlConfig, PagePolicy};
 use hammertime_telemetry::Tracer;
@@ -217,22 +217,6 @@ pub fn fleet_sweep(machines: u32, jobs: usize) -> FleetReport {
     let mut cfg = FleetConfig::new(machines).jobs(jobs);
     cfg.quick = true;
     run_fleet(&cfg).expect("fleet sweep runs")
-}
-
-/// [`fleet_sweep`] with the epoch journal attached: the same
-/// population run through `run_fleet_durable` into a fresh `dir`.
-/// This is the durable side of the `fleet_sweep_durable` scenario;
-/// its ratio against the plain sweep is what the `--gate-durable-
-/// overhead` CI gate judges (the journal must stay cheap relative to
-/// simulation).
-pub fn fleet_sweep_durable(machines: u32, jobs: usize, dir: &std::path::Path) -> FleetReport {
-    let mut cfg = FleetConfig::new(machines).jobs(jobs);
-    cfg.quick = true;
-    let _ = std::fs::remove_dir_all(dir);
-    let (report, completed) =
-        run_fleet_durable(&cfg, dir, &RunControl::default()).expect("durable fleet sweep runs");
-    assert!(completed, "durable sweep must run to completion");
-    report
 }
 
 /// Reproduces the same end state the slow way: a fresh machine

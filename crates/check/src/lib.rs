@@ -36,6 +36,7 @@
 //! in the dependency DAG: it can name device configs and commands, and
 //! the controller can embed a [`ShadowChecker`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checker;

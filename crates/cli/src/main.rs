@@ -29,15 +29,6 @@
 //! --trace-out PATH` records one machine's command trace in the same
 //! format `trace replay|lint` consume.
 //!
-//! `fleet run --durable DIR` journals every committed epoch to an
-//! on-disk checkpoint journal; after a crash (or a graceful Ctrl-C,
-//! exit code 130) `fleet run --resume DIR` continues from the last
-//! committed epoch and produces output byte-identical to an
-//! uninterrupted run. `--supervise N` runs the shards as N child
-//! processes under a supervisor that restarts crashed or hung workers
-//! with capped backoff and quarantines machines that repeatedly kill
-//! their worker; `fleet worker` is the (hidden) child-process entry.
-//!
 //! `experiments` runs the combined core + FL registry through the
 //! parallel cell engine:
 //! `--jobs` sets the worker count (default: available parallelism),
@@ -67,6 +58,8 @@
 //! violations as machine-readable JSONL and `--self-test` additionally
 //! mutates the trace (dropped PRE, shifted ACT, fifth ACT in tFAW,
 //! starved REF, ...) to prove the rules actually fire.
+
+#![forbid(unsafe_code)]
 
 use hammertime::experiments::{self, CellProgress, RunOptions};
 use hammertime::machine::MachineConfig;
@@ -516,13 +509,6 @@ fn fleet_run(args: &[String]) -> Result<()> {
     let mut json_out: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut strict = false;
-    let mut durable_dir: Option<PathBuf> = None;
-    let mut resume_dir: Option<PathBuf> = None;
-    let mut supervise: Option<usize> = None;
-    let mut quarantine_after: Option<u32> = None;
-    let mut hb_timeout_ms: Option<u64> = None;
-    let mut backoff_ms: Option<u64> = None;
-    let mut max_restarts: Option<u32> = None;
     let bad = |msg: String| -> ! {
         eprintln!("{msg}");
         std::process::exit(2);
@@ -642,49 +628,6 @@ fn fleet_run(args: &[String]) -> Result<()> {
             }
             "--trace-out" => trace_out = Some(PathBuf::from(value())),
             "--json" => json_out = Some(PathBuf::from(value())),
-            "--durable" => durable_dir = Some(PathBuf::from(value())),
-            "--resume" => resume_dir = Some(PathBuf::from(value())),
-            "--supervise" => {
-                supervise = Some(
-                    value()
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| bad("--supervise needs a positive worker count".into())),
-                )
-            }
-            "--quarantine-after" => {
-                quarantine_after = Some(
-                    value()
-                        .parse()
-                        .ok()
-                        .filter(|&n: &u32| n > 0)
-                        .unwrap_or_else(|| bad("--quarantine-after needs a positive count".into())),
-                )
-            }
-            "--hb-timeout-ms" => {
-                hb_timeout_ms = Some(
-                    value()
-                        .parse()
-                        .ok()
-                        .filter(|&n: &u64| n > 0)
-                        .unwrap_or_else(|| bad("--hb-timeout-ms needs positive millis".into())),
-                )
-            }
-            "--backoff-ms" => {
-                backoff_ms = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| bad("--backoff-ms needs millis".into())),
-                )
-            }
-            "--max-restarts" => {
-                max_restarts = Some(
-                    value()
-                        .parse()
-                        .unwrap_or_else(|_| bad("--max-restarts needs a count".into())),
-                )
-            }
             other => bad(format!("fleet run: unknown flag {other}")),
         }
         i += 1;
@@ -692,73 +635,9 @@ fn fleet_run(args: &[String]) -> Result<()> {
     if trace_out.is_some() && cfg.trace_machine.is_none() {
         bad("--trace-out needs --trace-machine ID".into());
     }
-    if durable_dir.is_some() && resume_dir.is_some() {
-        bad("--durable and --resume are mutually exclusive".into());
-    }
-
-    // Graceful SIGINT: first Ctrl-C raises the stop flag — the run
-    // finishes the epoch in flight, journals a clean-stop marker
-    // (with --durable/--resume), prints partial tables, and exits
-    // 130. A second Ctrl-C kills the process the default way.
-    let control = hammertime_fleet::RunControl::default();
-    #[cfg(unix)]
-    sigint::install_graceful(control.stop.clone());
-
-    let mut durable_run = match (&durable_dir, &resume_dir) {
-        (Some(dir), None) => Some(hammertime_fleet::DurableRun::create(dir, &cfg)?),
-        (None, Some(dir)) => {
-            let run = hammertime_fleet::DurableRun::resume(dir, &cfg)?;
-            eprintln!(
-                "fleet: resuming from {} with {} committed epoch(s){}",
-                dir.display(),
-                run.committed_epochs(),
-                if run.had_clean_stop() {
-                    " (previous run stopped cleanly)"
-                } else {
-                    ""
-                },
-            );
-            Some(run)
-        }
-        _ => None,
-    };
 
     let started = std::time::Instant::now();
-    let (report, completed) = if let Some(workers) = supervise {
-        let exe = std::env::current_exe()
-            .map_err(|e| Error::Config(format!("cannot locate own binary: {e}")))?;
-        let mut opts = hammertime_fleet::SuperviseOpts::new(vec![
-            exe.to_string_lossy().into_owned(),
-            "fleet".into(),
-            "worker".into(),
-        ]);
-        opts.workers = workers;
-        if let Some(k) = quarantine_after {
-            opts.quarantine_after = k;
-        }
-        if let Some(ms) = hb_timeout_ms {
-            opts.hb_timeout = std::time::Duration::from_millis(ms);
-        }
-        if let Some(ms) = backoff_ms {
-            opts.backoff_base = std::time::Duration::from_millis(ms);
-        }
-        if let Some(n) = max_restarts {
-            opts.max_restarts = n;
-        }
-        hammertime_fleet::run_supervised(&cfg, &opts, durable_run.as_mut(), &control)?
-    } else {
-        if quarantine_after.is_some()
-            || hb_timeout_ms.is_some()
-            || backoff_ms.is_some()
-            || max_restarts.is_some()
-        {
-            bad(
-                "--quarantine-after/--hb-timeout-ms/--backoff-ms/--max-restarts need --supervise"
-                    .into(),
-            );
-        }
-        hammertime_fleet::run_fleet_controlled(&cfg, &control, durable_run.as_mut())?
-    };
+    let report = hammertime_fleet::run_fleet(&cfg)?;
     let wall = started.elapsed();
     let failed = report.failures().count();
     eprintln!(
@@ -831,96 +710,15 @@ fn fleet_run(args: &[String]) -> Result<()> {
             )));
         }
     }
-    if !completed {
-        let dir = durable_dir.as_ref().or(resume_dir.as_ref());
-        eprintln!(
-            "fleet: stopped gracefully after the epoch in flight{}",
-            match dir {
-                Some(d) => format!("; resume with `fleet run --resume {}`", d.display()),
-                None => String::new(),
-            }
-        );
-        // 130 = 128 + SIGINT: the conventional "killed by Ctrl-C"
-        // code, distinct from 1 (error) and 2 (usage).
-        std::process::exit(130);
-    }
     Ok(())
-}
-
-/// `fleet worker` (hidden): the supervised shard worker. Speaks the
-/// [`hammertime_fleet::worker`] JSON-line protocol on stdin/stdout;
-/// only ever spawned by `fleet run --supervise`.
-fn fleet_worker() -> Result<()> {
-    // The supervisor owns graceful shutdown: a terminal Ctrl-C hits
-    // the whole foreground process group, and workers must survive it
-    // long enough for the supervisor to finish the epoch in flight.
-    #[cfg(unix)]
-    sigint::ignore();
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = stdin.lock();
-    let mut output = stdout.lock();
-    hammertime_fleet::run_worker(&mut input, &mut output)
 }
 
 fn cmd_fleet(args: &[String]) -> Result<()> {
     match args.first().map(String::as_str) {
         Some("run") => fleet_run(&args[1..]),
-        Some("worker") => fleet_worker(),
         _ => {
             eprintln!("fleet needs a subcommand: run");
             std::process::exit(2);
-        }
-    }
-}
-
-/// Minimal libc-free SIGINT plumbing (Unix only). The handler does a
-/// single async-signal-safe atomic store; a watcher thread bridges it
-/// to the fleet's [`RunControl`](hammertime_fleet::RunControl) stop
-/// flag and then restores the default disposition, so a second Ctrl-C
-/// kills the process the ordinary way.
-#[cfg(unix)]
-mod sigint {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    const SIGINT: i32 = 2;
-    const SIG_DFL: usize = 0;
-    const SIG_IGN: usize = 1;
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    static HIT: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_sigint(_: i32) {
-        HIT.store(true, Ordering::SeqCst);
-    }
-
-    /// First Ctrl-C raises `stop`; the second falls through to the
-    /// default fatal disposition.
-    pub fn install_graceful(stop: Arc<AtomicBool>) {
-        unsafe {
-            signal(SIGINT, on_sigint as extern "C" fn(i32) as usize);
-        }
-        std::thread::spawn(move || loop {
-            if HIT.load(Ordering::SeqCst) {
-                stop.store(true, Ordering::SeqCst);
-                eprintln!("fleet: SIGINT — finishing the epoch in flight (Ctrl-C again to kill)");
-                unsafe {
-                    signal(SIGINT, SIG_DFL);
-                }
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
-
-    /// Workers ignore SIGINT outright (see [`super::fleet_worker`]).
-    pub fn ignore() {
-        unsafe {
-            signal(SIGINT, SIG_IGN);
         }
     }
 }
@@ -1136,10 +934,7 @@ fn usage() -> ! {
                              [--slates NAME,...] [--attack-triples A/H/V,...]\n\
                              [--step-budget N] [--json PATH]\n\
                              [--trace-machine ID --trace-out PATH] [--strict]\n\
-                             [--durable DIR | --resume DIR]\n\
-                             [--supervise N [--quarantine-after K] [--hb-timeout-ms MS]\n\
-                              [--backoff-ms MS] [--max-restarts N]]\n\
-                             (exit codes: 0 ok, 1 error, 2 usage, 130 graceful SIGINT stop)\n\
+                             (exit codes: 0 ok, 1 error, 2 usage)\n\
            hammertime-cli generations\n\
            hammertime-cli trace record --out PATH [experiments flags]\n\
            hammertime-cli trace replay PATH\n\

@@ -15,8 +15,6 @@
 //! - [`error`]: the shared error type.
 //! - [`traceformat`]: the version header shared by every serialized
 //!   trace artifact (input-side op traces, output-side command traces).
-//! - [`journal`]: the append-only checksummed record log durable fleet
-//!   runs commit epochs to.
 //!
 //! Nothing here depends on the rest of the workspace; the dependency DAG
 //! is `common <- dram <- memctrl <- cache/os <- core`.
@@ -30,7 +28,6 @@ pub mod energy;
 pub mod error;
 pub mod fault;
 pub mod geometry;
-pub mod journal;
 pub mod rng;
 pub mod time;
 pub mod traceformat;
@@ -40,7 +37,6 @@ pub use domain::{DomainId, RequestSource, TriggerCounts};
 pub use error::{Error, Result};
 pub use fault::{FaultClock, FaultKind, FaultPlan};
 pub use geometry::{DramCoord, Geometry};
-pub use journal::{JournalWriter, Record as JournalRecord, JOURNAL_MAGIC, JOURNAL_VERSION};
 pub use rng::DetRng;
 pub use time::Cycle;
 pub use traceformat::{TraceHeader, TraceKind, TRACE_MAGIC, TRACE_VERSION};

@@ -97,10 +97,6 @@ pub enum FailureKind {
     Panic,
     /// The step-budget watchdog killed a runaway cell.
     Timeout,
-    /// A supervisor isolated this cell after it repeatedly crashed its
-    /// worker process (fleet-layer suspect isolation); siblings kept
-    /// running.
-    Quarantined,
 }
 
 impl std::fmt::Display for FailureKind {
@@ -109,14 +105,13 @@ impl std::fmt::Display for FailureKind {
             FailureKind::Error => "error",
             FailureKind::Panic => "panic",
             FailureKind::Timeout => "timeout",
-            FailureKind::Quarantined => "quarantined",
         })
     }
 }
 
-/// How far a failed cell got before it died, so a resumed or supervised
-/// run can attribute the failure to a specific point in simulated time
-/// instead of discarding all progress information.
+/// How far a failed fleet machine got before it died, so a timeout or
+/// error is attributed to a point in simulated time instead of
+/// discarding all progress information.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailureProgress {
     /// Fleet epochs this machine fully committed before failing.
@@ -473,6 +468,19 @@ fn run_suite_impl(
             scope.spawn(|| loop {
                 let slot = next.fetch_add(1, Ordering::Relaxed);
                 if slot >= total {
+                    // Stay alive until every cell is done. With glibc's
+                    // malloc an exiting thread hands its arena to the
+                    // next thread spawned, so a fleet thread started by
+                    // a cell still running on another worker would
+                    // build its machines in fresh memory instead of the
+                    // memory the previous fleet freed, and the suite's
+                    // peak memory would depend on which worker ran out
+                    // of cells first. A worker whose progress callback
+                    // panicked has already counted its cell, so this
+                    // never waits on a dead worker.
+                    while done.load(Ordering::Acquire) < total {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                     break;
                 }
                 let (ei, cell) = queue[slot]

@@ -326,6 +326,13 @@ impl std::fmt::Debug for MachineCheckpoint {
 /// per-(bank, row) results)`; see the `frames_cache` field.
 type FramesMemo = (u64, std::collections::HashMap<(usize, u32), Vec<u64>>);
 
+/// Most interrupts the machine keeps for
+/// [`Machine::drain_interrupt_log`] between drains. Nothing in a run
+/// reads the log, and an unbounded one grows with simulated time
+/// (about 20 MB over a full-scale convoluted-refresh cell) and is
+/// copied into every checkpoint.
+const INTERRUPT_LOG_CAP: usize = 256;
+
 /// The assembled machine.
 pub struct Machine {
     cfg: MachineConfig,
@@ -342,8 +349,8 @@ pub struct Machine {
     flips: Vec<FlipEvent>,
     /// Frames already migrated this refresh window (rate limit).
     remapped_this_window: std::collections::HashSet<u64>,
-    /// Every interrupt the machine serviced (observability; drained
-    /// via [`Machine::drain_interrupt_log`]).
+    /// The first [`INTERRUPT_LOG_CAP`] interrupts serviced since the
+    /// last [`Machine::drain_interrupt_log`] (observability only).
     interrupt_log: Vec<hammertime_memctrl::ActInterrupt>,
     /// Memoized [`Machine::frames_of_row`] results, keyed on the
     /// address map's generation: the interrupt path asks about the same
@@ -1170,7 +1177,8 @@ impl Machine {
     fn service_defense(&mut self) {
         let ints = self.mc.drain_interrupts();
         self.overhead.interrupts += ints.len() as u64;
-        self.interrupt_log.extend(ints.iter().copied());
+        let room = INTERRUPT_LOG_CAP.saturating_sub(self.interrupt_log.len());
+        self.interrupt_log.extend(ints.iter().take(room).copied());
         if let Some(tracer) = &self.tracer {
             let now = self.mc.now();
             for int in &ints {
@@ -1538,7 +1546,9 @@ impl Machine {
         self.mc.configure_act_counters(config);
     }
 
-    /// Drains the log of every ACT interrupt serviced so far.
+    /// Drains the log of ACT interrupts serviced since the last drain:
+    /// the first 256 of them, oldest first. The report's
+    /// `overhead.interrupts` counts every one.
     pub fn drain_interrupt_log(&mut self) -> Vec<hammertime_memctrl::ActInterrupt> {
         std::mem::take(&mut self.interrupt_log)
     }
@@ -1784,6 +1794,37 @@ mod tests {
         let r = m.report();
         assert!(r.flips_total > 0, "undefended hammer must flip");
         assert!(r.flips_cross_domain > 0, "victim domain must be hit");
+    }
+
+    #[test]
+    fn interrupt_log_is_capped_between_drains() {
+        let mut cfg = MachineConfig::fast(DefenseKind::None, 1_000_000);
+        cfg.force_act_counters = true;
+        let mut m = Machine::new(cfg).unwrap();
+        let d = DomainId(1);
+        m.add_tenant(d, 4).unwrap();
+        m.configure_act_counters(hammertime_memctrl::ActCounterConfig {
+            threshold: 2,
+            randomize_reset_window: 0,
+            precision: hammertime_memctrl::Precision::AddressReporting,
+        });
+        let rows = m.rows_of_domain(d);
+        let (a, b) = (rows[0].2[0], rows[1].2[0]);
+        m.set_workload(d, Box::new(HammerPattern::double_sided(a, b, 10_000_000)))
+            .unwrap();
+        m.run(2_000_000);
+        let serviced = m.report().overhead.interrupts;
+        assert!(
+            serviced > INTERRUPT_LOG_CAP as u64,
+            "only {serviced} interrupts"
+        );
+        assert_eq!(m.drain_interrupt_log().len(), INTERRUPT_LOG_CAP);
+        assert!(
+            m.drain_interrupt_log().is_empty(),
+            "a drain empties the log"
+        );
+        m.run(2_000_000);
+        assert_eq!(m.drain_interrupt_log().len(), INTERRUPT_LOG_CAP);
     }
 
     #[test]

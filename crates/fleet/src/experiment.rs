@@ -6,6 +6,8 @@
 //! defense) and reports each slate's flip-rate and overhead
 //! distribution as one row of the population table.
 
+use std::sync::{Mutex, PoisonError};
+
 use hammertime::experiments::{
     run_suite, run_suite_traced, silent, Cell, CellCtx, Experiment, RunOptions, SuiteReport,
 };
@@ -14,6 +16,13 @@ use hammertime_telemetry::TraceRecord;
 
 use crate::shard::{run_fleet, FleetConfig};
 use crate::stats::{population_row, POPULATION_COLUMNS};
+
+/// Held for the whole of an FL1 cell, so at most one mini-fleet runs
+/// at a time. A fleet keeps all its machines resident until it
+/// finishes (11-27 MB at full scale), so suite workers that reach FL1
+/// cells together would otherwise raise the suite's peak memory by a
+/// whole fleet, depending on how the cells happened to be scheduled.
+static FLEET_TURN: Mutex<()> = Mutex::new(());
 
 /// Machines per slate in the FL1 mini-fleets.
 fn fleet_size(quick: bool) -> u32 {
@@ -51,6 +60,7 @@ impl Experiment for Fl1 {
             .into_iter()
             .map(|slate| {
                 Cell::new(format!("fleet/{}", slate.name()), move || {
+                    let _turn = FLEET_TURN.lock().unwrap_or_else(PoisonError::into_inner);
                     let mut cfg = FleetConfig::new(fleet_size(ctx.quick));
                     cfg.quick = ctx.quick;
                     cfg.slates = vec![slate];

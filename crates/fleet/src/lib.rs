@@ -17,14 +17,7 @@
 //!   [`population::MachineSpec`]s (the seed-forking tree).
 //! - [`shard`]: the sharded runner — epochs, the migration mailbox,
 //!   per-machine step-budget scopes, [`shard::FleetReport`].
-//! - [`wire`]: the serializable form of a tenant migration, for
-//!   journal and process boundaries.
-//! - [`durable`]: the on-disk epoch journal, manifest, and
-//!   run/resume entry points (`--durable` / `--resume`).
-//! - [`worker`] / [`supervisor`]: the shard-per-process runner — a
-//!   supervisor drives `fleet worker` children over a pipe protocol,
-//!   restarts crashes with capped backoff, and quarantines machines
-//!   that repeatedly kill their worker.
+//!   [`run_fleet`] is the one way to run a fleet.
 //! - [`stats`]: per-slate percentile/histogram aggregation
 //!   ([`stats::PopulationStats`]) with a mergeable fold.
 //! - [`experiment`]: the FL experiment family and the combined
@@ -33,22 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod durable;
 pub mod experiment;
 pub mod population;
 pub mod shard;
 pub mod stats;
-pub mod supervisor;
-pub mod wire;
-pub mod worker;
 
-pub use durable::{resume_fleet, run_fleet_durable, DurableRun, Manifest, QuarantineEvent};
 pub use experiment::{full_registry, run_all_traced, run_all_with};
 pub use population::{DramGen, MachineClass, MachineSpec};
-pub use shard::{
-    run_fleet, run_fleet_controlled, FleetConfig, FleetReport, MachineOutcome, RunControl,
-};
+pub use shard::{run_fleet, FleetConfig, FleetReport, MachineOutcome};
 pub use stats::{fold, percentile, MachineSample, PopulationStats, SlateStats};
-pub use supervisor::{run_supervised, SuperviseOpts};
-pub use wire::WirePosting;
-pub use worker::run_worker;

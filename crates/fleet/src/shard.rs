@@ -32,22 +32,19 @@
 //! their full budgets, and any *enclosing* suite-cell budget (FL1
 //! runs inside the experiment engine) is restored untouched.
 //!
-//! # Epoch barrier protocol (durability hooks)
+//! # One barrier per epoch
 //!
-//! Each epoch ends in **two** barrier waits. Between them, exactly one
-//! worker (the barrier leader) serializes the epoch's postings in
-//! canonical order and commits them to the journal of a `--durable`
-//! run, checks the graceful-stop flag, and honours the test-only
-//! `halt_after` kill hook. Every worker then re-checks the shared halt
-//! flag after the second wait, so a stop lands on all shards at the
-//! same epoch boundary. Non-durable runs skip the serialization
-//! entirely — the leader's extra work is two atomic loads.
+//! Each epoch ends in a single barrier wait, which is all the
+//! double-buffered mailbox needs. During epoch `e` every worker drains
+//! buffer `e % 2` and posts into buffer `(e + 1) % 2`; no worker passes
+//! the barrier until every worker has done both, so in epoch `e + 1`
+//! the drained buffer is free for new posts and the filled one is
+//! complete.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
-use hammertime::experiments::{run_budgeted, CellFailure, FailureKind, FailureProgress};
+use hammertime::experiments::{run_budgeted, CellFailure, FailureProgress};
 use hammertime::machine::TenantExport;
 use hammertime::metrics::SimReport;
 use hammertime::scenario::CloudScenario;
@@ -55,12 +52,10 @@ use hammertime::taxonomy::DefenseKind;
 use hammertime_common::{DetRng, DomainId, Error, FaultPlan, Result};
 use hammertime_telemetry::{TraceRecord, Tracer};
 use hammertime_workloads::{RandomWorkload, StreamWorkload, Workload, ZipfianWorkload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::durable::DurableRun;
 use crate::population::{synthesize, MachineSpec};
 use crate::stats::{fold, PopulationStats};
-use crate::wire::WirePosting;
 
 /// First benign domain id; ids below it are reserved (host 0,
 /// attacker 1, victim 2).
@@ -74,7 +69,7 @@ const TENANT_BASE: u32 = 16;
 const TENANT_STRIDE: u32 = 2048;
 
 /// How a fleet run is sized, scaled, parallelized, and guarded.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Machines in the fleet.
     pub machines: u32,
@@ -115,7 +110,8 @@ pub struct FleetConfig {
     /// `Timeout` outcome. `None` inherits whatever budget the calling
     /// thread runs under (an enclosing suite cell's, or nothing).
     pub step_budget: Option<u64>,
-    /// Record a cycle-stamped event trace of this machine id.
+    /// Record a cycle-stamped event trace of this machine id (must be
+    /// below `machines`).
     pub trace_machine: Option<u32>,
 }
 
@@ -177,23 +173,9 @@ impl FleetConfig {
     }
 }
 
-/// Out-of-band control of a running fleet: the graceful-stop flag a
-/// SIGINT handler raises, and the test-only simulated-kill hook.
-#[derive(Debug, Clone, Default)]
-pub struct RunControl {
-    /// When raised, the run finishes the current epoch barrier,
-    /// commits it (durable runs append a clean-stop marker), and
-    /// returns partial output instead of dropping everything.
-    pub stop: Arc<AtomicBool>,
-    /// Test hook simulating a SIGKILL: halt — *without* a clean-stop
-    /// marker — immediately after committing this epoch. Callers
-    /// discard the report, exactly as a killed process would.
-    pub halt_after: Option<u32>,
-}
-
 /// What one machine contributed to the population: its spec summary,
 /// churn counters, and either a final report or a structured failure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MachineOutcome {
     /// Fleet-wide machine id.
     pub id: u32,
@@ -217,8 +199,7 @@ pub struct MachineOutcome {
     pub tenants_destroyed: u32,
     /// Final report (`None` when the machine failed).
     pub report: Option<SimReport>,
-    /// The failure, if the machine errored, panicked, timed out, or
-    /// was quarantined by a supervisor.
+    /// The failure, if the machine errored, panicked, or timed out.
     pub failure: Option<CellFailure>,
 }
 
@@ -443,41 +424,11 @@ impl FleetMachine {
             failure: Some(f),
         }
     }
-
-    fn quarantined_outcome(
-        spec: &MachineSpec,
-        counters: (u32, u32, u32, u32),
-        stage: u32,
-        epochs_done: u32,
-        cycle: u64,
-    ) -> MachineOutcome {
-        FleetMachine::failed_outcome(
-            spec,
-            counters,
-            CellFailure {
-                label: machine_label(spec),
-                kind: FailureKind::Quarantined,
-                message: format!(
-                    "isolated by the supervisor after repeated worker crashes at stage {stage}"
-                ),
-                progress: Some(FailureProgress { epochs_done, cycle }),
-            },
-        )
-    }
 }
 
-/// Machines a supervisor has isolated: machine id → first stage it no
-/// longer executes (0 = never built, `e + 1` = dead from epoch `e`).
-pub type QuarantineMap = BTreeMap<u32, u32>;
-
-/// The per-shard simulation driver, shared by the in-process threaded
-/// runner and the `fleet worker` subprocess: builds the shard's
-/// machines and advances them stage by stage with explicit
-/// inbox/outbox hand-off. The `hb` callback fires with `(machine,
-/// stage)` *before* each machine executes a stage — the worker
-/// protocol turns these into heartbeats so a supervisor can attribute
-/// a crash to the machine that was running.
-pub(crate) struct ShardSim<'a> {
+/// One worker's shard: builds its machines and advances them epoch by
+/// epoch, admitting from and posting to the migration mailbox.
+struct ShardSim<'a> {
     cfg: &'a FleetConfig,
     shard: &'a [MachineSpec],
     total: u32,
@@ -485,28 +436,12 @@ pub(crate) struct ShardSim<'a> {
 }
 
 impl<'a> ShardSim<'a> {
-    /// Stage 0: builds every machine in the shard (quarantined-at-
-    /// build machines become structured outcomes without building).
-    pub(crate) fn build(
-        cfg: &'a FleetConfig,
-        shard: &'a [MachineSpec],
-        total: u32,
-        quarantine: &QuarantineMap,
-        hb: &mut dyn FnMut(u32, u32),
-    ) -> ShardSim<'a> {
+    /// Builds every machine in the shard; a machine that fails to
+    /// build becomes a structured outcome.
+    fn build(cfg: &'a FleetConfig, shard: &'a [MachineSpec], total: u32) -> ShardSim<'a> {
         let machines = shard
             .iter()
             .map(|spec| {
-                if quarantine.get(&spec.id) == Some(&0) {
-                    return Err(Box::new(FleetMachine::quarantined_outcome(
-                        spec,
-                        (0, 0, 0, 0),
-                        0,
-                        0,
-                        0,
-                    )));
-                }
-                hb(spec.id, 0);
                 let label = machine_label(spec);
                 // Boxed Err: a failed machine's outcome record is ~10x
                 // the size of the live-machine handle, and it rides
@@ -523,39 +458,21 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Stage `epoch + 1`: runs one epoch over the shard. `inbox_for`
-    /// yields each machine's admissions in canonical order; the return
-    /// value is the shard's postings for the next epoch.
-    pub(crate) fn run_epoch(
-        &mut self,
-        epoch: u32,
-        inbox_for: &mut dyn FnMut(u32) -> Vec<(u32, TenantExport)>,
-        quarantine: &QuarantineMap,
-        hb: &mut dyn FnMut(u32, u32),
-    ) -> Vec<(u32, u32, TenantExport)> {
+    /// Runs one epoch over the shard, admitting each machine's inbox
+    /// from `mailbox` in canonical order; returns the shard's postings
+    /// for the next epoch.
+    fn run_epoch(&mut self, epoch: u32, mailbox: &Mailbox) -> Vec<(u32, u32, TenantExport)> {
         let (cfg, total) = (self.cfg, self.total);
-        let stage = epoch + 1;
         let mut out = Vec::new();
         for (spec, m) in self.shard.iter().zip(self.machines.iter_mut()) {
             // Drain the inbox even for dead machines so stale entries
             // never alias a future epoch's buffer; tenants migrated to
             // a dead machine are lost (counted nowhere — the dead
             // machine's failure record is the signal).
-            let inbox = inbox_for(spec.id);
-            if let Ok(fm) = m.as_mut() {
-                if quarantine.get(&spec.id) == Some(&stage) {
-                    let counters = fm.counters();
-                    let cycle = fm.scenario.machine.now().raw();
-                    *m = Err(Box::new(FleetMachine::quarantined_outcome(
-                        spec, counters, stage, epoch, cycle,
-                    )));
-                    continue;
-                }
-            }
+            let inbox = take_inbox(mailbox, spec.id);
             let failure = match m {
                 Err(_) => None,
                 Ok(fm) => {
-                    hb(spec.id, stage);
                     // The budget covers the whole machine lifetime:
                     // re-arm with what it has not yet consumed.
                     let remaining = cfg
@@ -590,7 +507,7 @@ impl<'a> ShardSim<'a> {
 
     /// Tears the shard down into final outcomes plus the traced
     /// machine's records (empty unless this shard owns it).
-    pub(crate) fn finish(self) -> (Vec<MachineOutcome>, Vec<TraceRecord>) {
+    fn finish(self) -> (Vec<MachineOutcome>, Vec<TraceRecord>) {
         let mut outcomes = Vec::with_capacity(self.machines.len());
         let mut trace = Vec::new();
         for m in self.machines {
@@ -642,23 +559,6 @@ fn take_inbox(mailbox: &Mailbox, id: u32) -> Vec<(u32, TenantExport)> {
     items
 }
 
-/// Serializes the whole mailbox buffer in canonical `(dest, src,
-/// domain)` order without consuming it — the journal's view of an
-/// epoch. Only called while every worker is parked between the two
-/// epoch barriers.
-fn snapshot_mailbox(mailbox: &Mailbox) -> Result<Vec<WirePosting>> {
-    let map = mailbox.lock().expect("mailbox poisoned");
-    let mut postings = Vec::new();
-    for (&dest, items) in map.iter() {
-        let mut refs: Vec<&(u32, TenantExport)> = items.iter().collect();
-        refs.sort_by_key(|(src, e)| (*src, e.domain.0));
-        for (src, export) in refs {
-            postings.push(WirePosting::capture(dest, *src, export)?);
-        }
-    }
-    Ok(postings)
-}
-
 /// Runs the fleet and reduces it to a [`FleetReport`].
 ///
 /// Determinism contract: the returned report — outcomes, population
@@ -669,27 +569,20 @@ fn snapshot_mailbox(mailbox: &Mailbox) -> Result<Vec<WirePosting>> {
 ///
 /// # Errors
 ///
-/// Construction errors of the run itself (an empty fleet). Per-machine
-/// errors, panics, and budget exhaustions never abort the run: they
-/// become structured [`MachineOutcome::failure`] records while every
-/// sibling machine completes.
+/// Configuration errors of the run itself: an empty fleet, or a
+/// `trace_machine` that names no machine. Per-machine errors, panics,
+/// and budget exhaustions never abort the run: they become structured
+/// [`MachineOutcome::failure`] records while every sibling machine
+/// completes.
 pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport> {
-    run_fleet_controlled(cfg, &RunControl::default(), None).map(|(report, _)| report)
-}
-
-/// [`run_fleet`] with out-of-band control and optional durability:
-/// `durable` journals each committed epoch (validating against any
-/// already-committed prefix, which is how `--resume` re-simulates
-/// safely). Returns the report plus whether the run **completed** all
-/// epochs (`false` after a graceful stop or a simulated kill — the
-/// report then holds partial tables).
-pub fn run_fleet_controlled(
-    cfg: &FleetConfig,
-    control: &RunControl,
-    durable: Option<&mut DurableRun>,
-) -> Result<(FleetReport, bool)> {
     if cfg.machines == 0 {
         return Err(Error::Config("fleet needs at least one machine".into()));
+    }
+    if let Some(id) = cfg.trace_machine.filter(|&id| id >= cfg.machines) {
+        return Err(Error::Config(format!(
+            "trace machine {id} is not in a fleet of {} machines",
+            cfg.machines
+        )));
     }
     let specs = synthesize(cfg);
     let total = specs.len() as u32;
@@ -699,25 +592,6 @@ pub fn run_fleet_controlled(
         specs.iter().map(|_| Mutex::new(None)).collect();
     let trace_slot: Mutex<Vec<TraceRecord>> = Mutex::new(Vec::new());
 
-    // Quarantine decisions recovered from the journal must keep
-    // holding on resume, or a resumed run would diverge from the
-    // supervised run that wrote them.
-    let quarantine: QuarantineMap = durable
-        .as_ref()
-        .map(|d| {
-            d.quarantined()
-                .iter()
-                .map(|ev| (ev.machine, ev.stage))
-                .collect()
-        })
-        .unwrap_or_default();
-
-    // Leader-journaling shared state: the leader commits between the
-    // two epoch barriers and publishes halt/error to every worker.
-    let durable_slot: Mutex<Option<&mut DurableRun>> = Mutex::new(durable);
-    let journal_err: Mutex<Option<Error>> = Mutex::new(None);
-    let halted = AtomicBool::new(false);
-
     // Contiguous shards: worker w owns machines [w*chunk ..
     // min((w+1)*chunk, n)). Rounding can leave fewer (non-empty)
     // shards than `jobs`; the barrier must count actual workers.
@@ -725,50 +599,17 @@ pub fn run_fleet_controlled(
     let shards: Vec<&[MachineSpec]> = specs.chunks(chunk).collect();
     let barrier = Barrier::new(shards.len());
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(shards.len());
         for shard in &shards {
             let (mailboxes, barrier, slots, trace_slot) =
                 (&mailboxes, &barrier, &slots, &trace_slot);
-            let (quarantine, durable_slot, journal_err, halted) =
-                (&quarantine, &durable_slot, &journal_err, &halted);
-            scope.spawn(move || {
-                let mut sim = ShardSim::build(cfg, shard, total, quarantine, &mut |_, _| {});
+            workers.push(scope.spawn(move || {
+                let mut sim = ShardSim::build(cfg, shard, total);
                 for epoch in 0..cfg.epochs {
-                    let inbox_buf = &mailboxes[(epoch % 2) as usize];
-                    let outbox_buf = &mailboxes[((epoch + 1) % 2) as usize];
-                    let outbox = sim.run_epoch(
-                        epoch,
-                        &mut |id| take_inbox(inbox_buf, id),
-                        quarantine,
-                        &mut |_, _| {},
-                    );
-                    post(outbox_buf, outbox);
-                    if barrier.wait().is_leader() {
-                        // Epoch-commit critical section: every other
-                        // worker is parked in the second wait.
-                        let mut durable = durable_slot.lock().expect("durable slot");
-                        if let Some(d) = durable.as_mut() {
-                            let committed = snapshot_mailbox(outbox_buf)
-                                .and_then(|postings| d.record_or_validate(epoch, &postings));
-                            if let Err(e) = committed {
-                                *journal_err.lock().expect("err slot") = Some(e);
-                                halted.store(true, Ordering::SeqCst);
-                            }
-                        }
-                        if control.halt_after == Some(epoch) {
-                            halted.store(true, Ordering::SeqCst);
-                        } else if control.stop.load(Ordering::SeqCst) {
-                            if let Some(d) = durable.as_mut() {
-                                if let Err(e) = d.mark_clean_stop() {
-                                    *journal_err.lock().expect("err slot") = Some(e);
-                                }
-                            }
-                            halted.store(true, Ordering::SeqCst);
-                        }
-                    }
+                    let inbox = &mailboxes[(epoch % 2) as usize];
+                    let outbox = &mailboxes[((epoch + 1) % 2) as usize];
+                    post(outbox, sim.run_epoch(epoch, inbox));
                     barrier.wait();
-                    if halted.load(Ordering::SeqCst) {
-                        break;
-                    }
                 }
                 let (outcomes, trace) = sim.finish();
                 if !trace.is_empty() {
@@ -778,13 +619,18 @@ pub fn run_fleet_controlled(
                     let id = outcome.id as usize;
                     *slots[id].lock().expect("outcome slot poisoned") = Some(outcome);
                 }
-            });
+            }));
+        }
+        // The scope's implicit join only waits for each closure to
+        // return; joining waits for the thread itself to exit, so no
+        // worker is still tearing down (and holding its allocator
+        // arena) when `run_fleet` returns and the next fleet starts.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
-
-    if let Some(e) = journal_err.into_inner().expect("err slot poisoned") {
-        return Err(e);
-    }
 
     let mut outcomes: Vec<MachineOutcome> = slots
         .into_iter()
@@ -796,18 +642,14 @@ pub fn run_fleet_controlled(
         .collect();
     outcomes.sort_by_key(|o| o.id);
     let stats = fold(&outcomes);
-    let completed = !halted.load(Ordering::SeqCst);
-    Ok((
-        FleetReport {
-            trace: trace_slot.into_inner().expect("trace slot poisoned"),
-            outcomes,
-            stats,
-        },
-        completed,
-    ))
+    Ok(FleetReport {
+        trace: trace_slot.into_inner().expect("trace slot poisoned"),
+        outcomes,
+        stats,
+    })
 }
 
 /// Display label: `machine-0042/<defense>`.
-pub(crate) fn machine_label(spec: &MachineSpec) -> String {
+fn machine_label(spec: &MachineSpec) -> String {
     format!("machine-{:04}/{}", spec.id, spec.defense.name())
 }

@@ -61,11 +61,8 @@ pub struct SlateStats {
     pub machines: u64,
     /// Of those, machines with an attacker tenant.
     pub attacked: u64,
-    /// Machines that failed (error/panic/timeout/quarantined).
+    /// Machines that failed (error/panic/timeout).
     pub failed: u64,
-    /// Of the failed machines, those a supervisor quarantined after
-    /// repeated worker crashes (a subset of `failed`).
-    pub quarantined: u64,
     /// Tenant migrations into machines of this slate.
     pub migrations_in: u64,
     /// Sorted cross-domain flip rates (flips per Mcycle).
@@ -87,14 +84,7 @@ impl SlateStats {
                 insert_sorted(&mut self.overhead, s.overhead);
                 insert_sorted(&mut self.throughput, s.throughput);
             }
-            None => {
-                self.failed += 1;
-                let quarantined = o
-                    .failure
-                    .as_ref()
-                    .is_some_and(|f| f.kind == hammertime::experiments::FailureKind::Quarantined);
-                self.quarantined += u64::from(quarantined);
-            }
+            None => self.failed += 1,
         }
     }
 
@@ -104,7 +94,6 @@ impl SlateStats {
         self.machines += other.machines;
         self.attacked += other.attacked;
         self.failed += other.failed;
-        self.quarantined += other.quarantined;
         self.migrations_in += other.migrations_in;
         for (mine, theirs) in [
             (&mut self.flip_rate, &other.flip_rate),
@@ -184,11 +173,6 @@ impl PopulationStats {
             reg.counter_add(&format!("fleet.{slate}.machines"), s.machines);
             reg.counter_add(&format!("fleet.{slate}.attacked"), s.attacked);
             reg.counter_add(&format!("fleet.{slate}.failed"), s.failed);
-            if s.quarantined > 0 {
-                // Guarded: healthy fleets keep their metrics snapshot
-                // (and every golden pinned to it) unchanged.
-                reg.counter_add(&format!("fleet.{slate}.quarantined"), s.quarantined);
-            }
             reg.counter_add(&format!("fleet.{slate}.migrations_in"), s.migrations_in);
             for &v in &s.flip_rate {
                 reg.observe(&format!("fleet.{slate}.flip_rate_milli"), milli(v));

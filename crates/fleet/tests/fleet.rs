@@ -6,7 +6,7 @@ use hammertime::experiments::{run_budgeted, FailureKind};
 use hammertime::machine::TenantExport;
 use hammertime::memctrl::addrmap::MappingScheme;
 use hammertime::{DefenseKind, Machine, MachineConfig};
-use hammertime_common::{DomainId, FaultPlan};
+use hammertime_common::{DomainId, Error, FaultPlan};
 use hammertime_fleet::population::{is_faulty_machine, synthesize, DramGen, MachineClass};
 use hammertime_fleet::shard::{run_fleet, FleetConfig, FleetReport, MachineOutcome};
 use hammertime_fleet::stats::{fold, PopulationStats};
@@ -106,6 +106,24 @@ fn chaos_fleet_is_deterministic_and_faults_stay_on_subset() {
     }
     assert!(serial.outcomes.iter().any(|o| o.faulty));
     assert!(serial.outcomes.iter().any(|o| !o.faulty));
+}
+
+/// An empty fleet and a trace machine outside the fleet are
+/// configuration errors, not a run with a silently empty trace.
+#[test]
+fn empty_fleet_and_out_of_range_trace_machine_are_config_errors() {
+    assert!(matches!(
+        run_fleet(&FleetConfig::new(0)),
+        Err(Error::Config(_))
+    ));
+    let mut cfg = FleetConfig::new(8);
+    for id in [8, 99] {
+        cfg.trace_machine = Some(id);
+        let err = run_fleet(&cfg).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "machine {id}: {err}");
+    }
+    cfg.trace_machine = Some(7);
+    assert!(!run_fleet(&cfg).unwrap().trace.is_empty());
 }
 
 fn machine_a() -> Machine {

@@ -19,15 +19,13 @@ use hammertime_common::{CacheLineAddr, DetRng, Error, Result};
 use serde::{Deserialize, Serialize};
 
 /// A serializable mid-stream snapshot of a benign workload, so a
-/// migrating tenant can cross a process boundary (the fleet worker
-/// protocol) and resume its stream bit-exactly.
+/// tenant's stream can leave the process and resume bit-exactly.
 ///
 /// Floating-point parameters travel as IEEE-754 bit patterns and RNG
 /// state as raw words, so the restored generator continues the
-/// *identical* draw sequence — the fleet determinism contract demands
-/// byte-equal output whether a tenant migrated in-process or over a
-/// pipe. RNG state is a `Vec` rather than an array purely for codec
-/// reasons; [`WorkloadSnapshot::restore`] length-checks it.
+/// *identical* draw sequence. RNG state is a `Vec` rather than an
+/// array purely for codec reasons; [`WorkloadSnapshot::restore`]
+/// length-checks it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadSnapshot {
     /// A [`StreamWorkload`] mid-sweep.
@@ -95,7 +93,7 @@ impl WorkloadSnapshot {
     ///
     /// Structured `Err` (never a panic) on a malformed snapshot — an
     /// empty arena or a wrong-length/all-zero RNG state, which a
-    /// tampered or hand-built wire message could carry.
+    /// tampered or hand-built snapshot could carry.
     pub fn restore(&self) -> Result<Box<dyn Workload>> {
         match self {
             WorkloadSnapshot::Stream {
@@ -488,7 +486,7 @@ mod tests {
             w.next_op().expect("workload ended before snapshot point");
         }
         let snap = w.snapshot().expect("benign workload must snapshot");
-        // Round-trip through the wire encoding, as the fleet would.
+        // Round-trip through the JSON encoding.
         let wire = serde_json::to_string(&snap).unwrap();
         let back: WorkloadSnapshot = serde_json::from_str(&wire).unwrap();
         assert_eq!(snap, back);

@@ -62,11 +62,10 @@ pub trait Workload: Send {
         None
     }
 
-    /// A serializable mid-stream snapshot, for tenants that migrate
-    /// *between processes* (the fleet worker protocol). `None` (the
-    /// default) marks the workload as wire-opaque; the fleet layer
-    /// turns that into a structured error rather than dropping the
-    /// tenant's remaining stream.
+    /// A serializable mid-stream snapshot, for moving a tenant's
+    /// remaining stream out of the process (in-process migration moves
+    /// the boxed workload itself). `None` (the default) marks the
+    /// workload as not serializable.
     fn snapshot(&self) -> Option<crate::benign::WorkloadSnapshot> {
         None
     }

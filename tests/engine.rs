@@ -3,9 +3,12 @@
 //! experiment, and a misbehaving cell degrades into a structured
 //! failure instead of taking the suite down.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use hammertime::experiments::{
-    registry, run_all_with, run_suite, silent, Cell, CellCtx, CellRows, Experiment, FailureKind,
-    RunOptions,
+    registry, run_all_with, run_suite, silent, Cell, CellCtx, CellProgress, CellRows, Experiment,
+    FailureKind, RunOptions,
 };
 use hammertime::machine::{Machine, MachineConfig};
 use hammertime::taxonomy::DefenseKind;
@@ -173,6 +176,48 @@ fn misbehaving_cells_become_structured_failures() {
     let shown = t.to_string();
     assert!(shown.contains("!! 3 cell(s) failed:"), "{shown}");
     assert!(shown.contains("runs-away [timeout]"), "{shown}");
+}
+
+/// Four cells that finish at once, so every worker of a small pool
+/// gets some.
+struct InstantExp;
+
+impl Experiment for InstantExp {
+    fn id(&self) -> &'static str {
+        "INSTANT"
+    }
+
+    fn title(&self) -> &'static str {
+        "engine shutdown fixture"
+    }
+
+    fn columns(&self) -> &'static [&'static str] {
+        &["cell"]
+    }
+
+    fn cells(&self, _ctx: &CellCtx) -> Vec<Cell> {
+        (0..4)
+            .map(|i| Cell::new(format!("c{i}"), move || Ok(vec![vec![i.to_string()]])))
+            .collect()
+    }
+}
+
+/// A worker that runs out of cells waits until every cell is done
+/// before it exits. A sibling whose progress callback panicked must
+/// not leave it waiting forever: the panic reaches the caller.
+#[test]
+fn panicking_progress_callback_reaches_the_caller() {
+    let fired = AtomicBool::new(false);
+    let progress = |_: &CellProgress<'_>| {
+        if !fired.swap(true, Ordering::SeqCst) {
+            panic!("progress callback failed");
+        }
+    };
+    let opts = RunOptions::new(true).jobs(2);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        run_suite(&[&InstantExp], &opts, &progress)
+    }));
+    assert!(outcome.is_err(), "the callback's panic must propagate");
 }
 
 /// Without a step budget the engine must not arm any watchdog: a
