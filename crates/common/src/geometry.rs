@@ -83,7 +83,7 @@ impl Geometry {
         }
     }
 
-    /// A server-ish geometry used by the benchmark harness: 2 channels,
+    /// A server-ish geometry used by the full-scale runs: 2 channels,
     /// 1 rank, 4 bank groups x 4 banks, 8 subarrays x 512 rows, 128
     /// columns (8 GiB).
     pub fn server() -> Geometry {

@@ -275,12 +275,19 @@ impl Drop for StepBudgetScope {
     }
 }
 
+/// The calling thread's remaining step budget in simulated machine
+/// cycles, or `None` when no budget is armed. The budget is
+/// thread-local, so a cell that hands simulation to threads of its own
+/// (FL1's fleet shards) passes this value on explicitly.
+pub fn remaining_step_budget() -> Option<u64> {
+    STEP_BUDGET.with(|b| b.get().map(|(remaining, _)| remaining))
+}
+
 /// Charges simulated progress against the ambient cell's step budget;
 /// a no-op outside a budgeted suite run. Called from the machine's
 /// step loop with *exact simulated-cycle deltas* (the caller supplies
 /// its own stall guard), so a budget of N machine cycles means the
-/// same simulated span on every scheduler path — the wheel and the
-/// reference scanner exhaust it on the identical cell.
+/// same simulated span on every run of the identical cell.
 pub(crate) fn charge_step_budget(cycles: u64) {
     STEP_BUDGET.with(|b| {
         let Some((remaining, total)) = b.get() else {

@@ -36,8 +36,9 @@ mod t1;
 
 pub use common::FAST_MAC;
 pub use engine::{
-    run_budgeted, run_one, run_suite, run_suite_traced, silent, Cell, CellCtx, CellFailure,
-    CellProgress, CellRows, FailureKind, FailureProgress, RunOptions, StepBudgetScope, SuiteReport,
+    remaining_step_budget, run_budgeted, run_one, run_suite, run_suite_traced, silent, Cell,
+    CellCtx, CellFailure, CellProgress, CellRows, FailureKind, FailureProgress, RunOptions,
+    StepBudgetScope, SuiteReport,
 };
 pub use table::ExpTable;
 

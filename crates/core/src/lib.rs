@@ -27,7 +27,7 @@
 //!   many-sided/TRRespass, DMA) and benign backgrounds.
 //! - [`metrics`] — unified security/performance/cost reports.
 //! - [`experiments`] — the table/figure generators (T1, F1, F2,
-//!   E1–E9) the benchmark harness runs; see DESIGN.md for the index.
+//!   E1–E9) the `experiments` CLI runs; see DESIGN.md for the index.
 //!
 //! # Examples
 //!

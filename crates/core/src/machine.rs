@@ -113,18 +113,6 @@ pub struct MachineConfig {
     /// catalog. `None` — the default — costs one branch per issued
     /// command and changes no observable output.
     pub shadow: Option<hammertime_check::ShadowChecker>,
-    /// Capture a [`MachineCheckpoint`] at every refresh-window (tREFW)
-    /// rollover; the latest is kept and retrievable via
-    /// [`Machine::last_checkpoint`]. Requires every workload and the
-    /// defense daemon to be checkpointable (`box_clone` returns
-    /// `Some`); capture is skipped silently otherwise.
-    pub epoch_checkpoints: bool,
-    /// Route the run loop through the controller's reference
-    /// (full-scan) scheduler instead of the event wheel. Behaviour is
-    /// byte-identical — the differential suites enforce it — so this
-    /// exists only to measure the wheel and to pin dual-path
-    /// regressions.
-    pub reference_scheduler: bool,
 }
 
 impl MachineConfig {
@@ -160,8 +148,6 @@ impl MachineConfig {
             faults: None,
             tracer: None,
             shadow: None,
-            epoch_checkpoints: false,
-            reference_scheduler: false,
         }
     }
 
@@ -192,8 +178,6 @@ impl MachineConfig {
             faults: None,
             tracer: None,
             shadow: None,
-            epoch_checkpoints: false,
-            reference_scheduler: false,
         }
     }
 
@@ -359,10 +343,6 @@ pub struct Machine {
     /// the generation and the whole memo is discarded on next use —
     /// stale translations must never leak across a remap.
     frames_cache: std::cell::RefCell<FramesMemo>,
-    /// Latest epoch checkpoint (captured at tREFW rollovers when
-    /// [`MachineConfig::epoch_checkpoints`] is set, or explicitly via
-    /// [`Machine::checkpoint`]).
-    last_checkpoint: Option<Box<MachineCheckpoint>>,
     lockup: Option<String>,
     /// When the first [`Machine::run`] call began (`None` until then);
     /// lets callers distinguish warm-up work from the measured run.
@@ -614,7 +594,6 @@ impl Machine {
             remapped_this_window: std::collections::HashSet::new(),
             interrupt_log: Vec::new(),
             frames_cache: std::cell::RefCell::new((0, std::collections::HashMap::new())),
-            last_checkpoint: None,
             lockup: None,
             run_start: None,
             tracer,
@@ -918,22 +897,6 @@ impl Machine {
         self.frames_cache.borrow_mut().1.clear();
     }
 
-    /// The most recent epoch checkpoint, if any was captured.
-    pub fn last_checkpoint(&self) -> Option<&MachineCheckpoint> {
-        self.last_checkpoint.as_deref()
-    }
-
-    /// Rewinds to the most recent epoch checkpoint, leaving it in
-    /// place for further rewinds. Returns the checkpoint's capture
-    /// time, or `None` if no checkpoint exists.
-    pub fn restore_last_checkpoint(&mut self) -> Option<Cycle> {
-        let cp = self.last_checkpoint.take()?;
-        self.restore(&cp);
-        let at = cp.at();
-        self.last_checkpoint = Some(cp);
-        Some(at)
-    }
-
     /// Runs the machine for `cycles` cycles (stops early on platform
     /// lockup).
     pub fn run(&mut self, cycles: u64) {
@@ -999,22 +962,14 @@ impl Machine {
                     Some(r) if r > now => step.min(r).min(end),
                     _ => step.min(end),
                 };
-                if self.cfg.reference_scheduler {
-                    self.mc.run_while_busy_reference(target);
-                } else {
-                    self.mc.run_while_busy(target);
-                }
+                self.mc.run_while_busy(target);
             } else {
                 let target = match next_ready {
                     Some(r) if r > now => r.min(end),
                     Some(_) => Cycle(now.raw() + 1).min(end),
                     None => end,
                 };
-                if self.cfg.reference_scheduler {
-                    self.mc.advance_to_reference(target);
-                } else {
-                    self.mc.advance_to(target);
-                }
+                self.mc.advance_to(target);
             }
             // 3. Service completions, defenses, windows, flips.
             self.service_completions();
@@ -1022,10 +977,9 @@ impl Machine {
             self.roll_windows();
             self.collect_flips();
             // Charge the engine's per-cell step budget in *simulated
-            // cycles* (no-op outside a budgeted suite run). Both
-            // scheduler paths advance `mc.now()` identically, so a
-            // budget buys the same simulated span on either. The
-            // `.max(1)` stall guard charges a wedged machine that stops
+            // cycles* (no-op outside a budgeted suite run), so a budget
+            // buys the same simulated span on every run. The `.max(1)`
+            // stall guard charges a wedged machine that stops
             // advancing, so runaway loops still terminate.
             crate::experiments::engine::charge_step_budget(
                 (self.mc.now().raw() - now.raw()).max(1),
@@ -1249,21 +1203,11 @@ impl Machine {
 
     fn roll_windows(&mut self) {
         let t_refw = self.cfg.timing.t_refw;
-        let mut rolled = false;
         while self.mc.now().delta(self.window_start) >= t_refw {
             self.window_start += t_refw;
             self.remapped_this_window.clear();
             let actions = self.daemon.on_window_rollover(self.mc.now());
             self.execute_actions(actions);
-            rolled = true;
-        }
-        // Epoch checkpoint at the window boundary: one capture per
-        // rollover batch, after the daemon's window work settled, so a
-        // restore resumes from a self-consistent window state.
-        if rolled && self.cfg.epoch_checkpoints {
-            if let Some(cp) = self.checkpoint() {
-                self.last_checkpoint = Some(Box::new(cp));
-            }
         }
     }
 
@@ -1888,35 +1832,6 @@ mod tests {
         m.restore(&cp);
         m.run(600_000);
         assert_eq!(digest(&mut m), original);
-    }
-
-    #[test]
-    fn epoch_checkpoints_capture_at_window_rollover() {
-        let mut cfg = MachineConfig::fast(DefenseKind::None, 24);
-        cfg.epoch_checkpoints = true;
-        let t_refw = cfg.timing.t_refw;
-        let mut m = Machine::new(cfg).unwrap();
-        let d = DomainId(1);
-        let arena = m.add_tenant(d, 2).unwrap();
-        m.set_workload(d, Box::new(StreamWorkload::new(arena, u64::MAX / 2, 0)))
-            .unwrap();
-        assert!(m.last_checkpoint().is_none());
-        m.run(3 * t_refw);
-        let cp = m.last_checkpoint().expect("a window rolled over");
-        assert!(
-            cp.at().raw() >= t_refw,
-            "checkpoint sits at/after the first rollover"
-        );
-        // Resuming from the epoch checkpoint replays to the same state.
-        let end = 4 * t_refw;
-        let mut resumed = Machine::new(MachineConfig::fast(DefenseKind::None, 24)).unwrap();
-        let cp_at = cp.at().raw();
-        resumed.restore(m.last_checkpoint().expect("still there"));
-        m.run(end - m.now().raw());
-        resumed.run(end - cp_at);
-        let a = m.report();
-        let b = resumed.report();
-        assert_eq!((a.cycles, a.mc, a.dram.acts), (b.cycles, b.mc, b.dram.acts));
     }
 
     #[test]

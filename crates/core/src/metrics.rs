@@ -4,8 +4,8 @@
 //! (flips, cross-domain flips, enclave events), performance (tenant
 //! throughput, latency, row-buffer behaviour), and defense cost
 //! (maintenance traffic, throttling, locks, migrated pages, SRAM area
-//! proxy, energy proxy). The benchmark harness prints these as the
-//! rows of each table/figure.
+//! proxy, energy proxy). The experiments print these as the rows of
+//! each table/figure.
 
 use hammertime_cache::CacheStats;
 use hammertime_common::energy::EnergyModel;
@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// every [`crate::machine::Machine`] on every thread.
 ///
 /// [`crate::machine::Machine::run`] credits the cycles it advances;
-/// throughput harnesses (`--bench-json`, the `step_loop` bench) read
-/// the delta around a run to report simulated cycles per wall-second.
+/// throughput harnesses (`--bench-json`, `perfbench`) read the delta
+/// around a run to report simulated cycles per wall-second.
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
 
 /// Current process-wide simulated-cycle count (monotonic; take deltas).

@@ -70,19 +70,16 @@ pub enum BankState {
 #[derive(Debug, Clone)]
 pub struct TimingSoA {
     /// Open internal row per bank; [`NO_OPEN_ROW`] when idle.
-    /// Crate-visible so the module's register-resident burst loop
-    /// ([`crate::module::DramModule::issue_hammer_pairs`]) can check
-    /// out a column and write it back without per-command indexing.
-    pub(crate) open_row: Vec<u32>,
+    open_row: Vec<u32>,
     /// When the open row's ACT issued (tRAS/tRC accounting).
-    pub(crate) opened_at: Vec<Cycle>,
+    opened_at: Vec<Cycle>,
     /// Earliest cycle an ACT may issue (tRP/tRC effects).
-    pub(crate) ready_act: Vec<Cycle>,
+    ready_act: Vec<Cycle>,
     /// Earliest cycle a PRE may issue (tRAS/tRTP/tWR effects).
-    pub(crate) ready_pre: Vec<Cycle>,
+    ready_pre: Vec<Cycle>,
     /// Earliest cycle a RD/WR may issue (tRCD effect); meaningful only
     /// while a row is open.
-    pub(crate) ready_rdwr: Vec<Cycle>,
+    ready_rdwr: Vec<Cycle>,
 }
 
 impl TimingSoA {

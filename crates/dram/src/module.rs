@@ -424,7 +424,8 @@ impl DramModule {
     }
 
     /// [`DramModule::issue`] minus the tracer check: the "telemetry
-    /// layer absent" baseline for the zero-cost-when-off bench gate.
+    /// layer absent" baseline for the zero-cost-when-off gate
+    /// (`tests/tracer_off.rs`).
     /// Not part of the simulator API — on a traced device this would
     /// silently drop records.
     #[doc(hidden)]
@@ -460,263 +461,6 @@ impl DramModule {
             );
         }
         Ok(out)
-    }
-
-    /// Fused earliest + issue: computes the command's earliest-legal
-    /// cycle, clamps it up to `floor` (the caller's notion of "now"),
-    /// issues there, and returns the chosen cycle alongside the
-    /// outcome. Exactly equivalent to
-    /// `let at = dram.earliest(cmd).max(floor); dram.issue(cmd, at)`
-    /// but prices the timing state once instead of twice — the
-    /// difference is most of a hammer loop's budget, so tight drivers
-    /// (benches, device-level attack scripts) should prefer this
-    /// entry point.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Timing`] when the command is never legal in the
-    /// current state (`earliest` = [`Cycle::MAX`]);
-    /// [`Error::Protocol`] for illegal arguments, as with
-    /// [`DramModule::issue`].
-    #[inline]
-    pub fn issue_at_earliest(
-        &mut self,
-        cmd: &DdrCommand,
-        floor: Cycle,
-    ) -> Result<(Cycle, CommandOutcome)> {
-        if self.config.tracer.is_none() {
-            return self.issue_at_earliest_inner(cmd, floor);
-        }
-        let earliest = self.earliest(cmd);
-        if earliest == Cycle::MAX {
-            return Err(too_early(cmd, floor, Cycle::MAX));
-        }
-        let at = earliest.max(floor);
-        self.issue_traced(cmd, at).map(|out| (at, out))
-    }
-
-    /// [`DramModule::issue_at_earliest`] minus the tracer check; the
-    /// fused counterpart of [`DramModule::issue_bypassing_tracer`].
-    #[doc(hidden)]
-    #[inline]
-    pub fn issue_at_earliest_bypassing_tracer(
-        &mut self,
-        cmd: &DdrCommand,
-        floor: Cycle,
-    ) -> Result<(Cycle, CommandOutcome)> {
-        self.issue_at_earliest_inner(cmd, floor)
-    }
-
-    /// Issues `pairs` back-to-back ACT/PRE pairs hammering `row` of
-    /// `bank`, each command at its earliest legal cycle (≥ the running
-    /// clock, starting from `floor`). Returns the cycle of the final
-    /// PRE.
-    ///
-    /// State evolution is identical to calling
-    /// [`DramModule::issue_at_earliest`] with the ACT and PRE
-    /// alternately `2 × pairs` times — same stats, flips, TRR
-    /// observations, and timing columns — but the bank/rank timing
-    /// recurrence (tRC/tRAS/tRP plus the rank's tRRD/tFAW window)
-    /// lives in registers across the burst instead of round-tripping
-    /// through the SoA columns per command. A hammer loop is a serial
-    /// dependency chain through those columns, so keeping it in
-    /// registers is worth several× on the device's ACT throughput.
-    /// Traced devices take the per-command path so every command and
-    /// flip is still recorded in order.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Timing`] if the bank is active at entry (must PRE
-    /// first); [`Error::Protocol`] for an out-of-range row.
-    pub fn issue_hammer_pairs(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        floor: Cycle,
-    ) -> Result<Cycle> {
-        if self.config.tracer.is_none() {
-            return self.hammer_pairs_inner(bank, row, pairs, floor);
-        }
-        self.hammer_pairs_per_command(bank, row, pairs, floor)
-    }
-
-    /// [`DramModule::issue_hammer_pairs`] minus the tracer check; the
-    /// burst counterpart of [`DramModule::issue_bypassing_tracer`].
-    #[doc(hidden)]
-    pub fn issue_hammer_pairs_bypassing_tracer(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        floor: Cycle,
-    ) -> Result<Cycle> {
-        self.hammer_pairs_inner(bank, row, pairs, floor)
-    }
-
-    /// The traced burst path: per-command, so the tracer sees every
-    /// ACT/PRE and each flip trails its command.
-    #[cold]
-    fn hammer_pairs_per_command(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        mut now: Cycle,
-    ) -> Result<Cycle> {
-        let act = DdrCommand::Act { bank: *bank, row };
-        let pre = DdrCommand::Pre { bank: *bank };
-        for _ in 0..pairs {
-            now = self.issue_at_earliest(&act, now)?.0;
-            now = self.issue_at_earliest(&pre, now)?.0;
-        }
-        Ok(now)
-    }
-
-    /// The register-resident burst loop. The SoA column, the rank's
-    /// activation window, and the stats counters are checked out into
-    /// locals, the recurrence runs, and the final state is written
-    /// back — per-iteration memory traffic is only the disturbance
-    /// bookkeeping ([`Bank::record_act`]) and any sampled flips.
-    fn hammer_pairs_inner(
-        &mut self,
-        bank: &BankId,
-        row: u32,
-        pairs: u32,
-        floor: Cycle,
-    ) -> Result<Cycle> {
-        if pairs == 0 {
-            return Ok(floor);
-        }
-        let b = self.flat_bank(bank);
-        let r = self.rank_index(bank.channel, bank.rank);
-        let g = self.config.geometry;
-        if row >= g.rows_per_bank() {
-            return Err(Error::Protocol(format!(
-                "ACT row {row} out of range ({} rows/bank)",
-                g.rows_per_bank()
-            )));
-        }
-        if self.soa.is_active(b) {
-            return Err(too_early(
-                &DdrCommand::Act { bank: *bank, row },
-                floor,
-                Cycle::MAX,
-            ));
-        }
-        let internal = self.remaps[b].to_internal(row);
-        let t = self.config.timing;
-        let busy = self.ranks[r].busy_until;
-        let bg = bank.bank_group;
-        // Check out the recurrence state.
-        let mut ready_act = self.soa.ready_act[b];
-        let mut last_act = self.ranks[r].last_act;
-        let mut faw = self.ranks[r].faw;
-        let mut faw_head = self.ranks[r].faw_head;
-        let mut faw_len = self.ranks[r].faw_len;
-        let trr_on = self.trr.is_some();
-        let mut now = floor;
-        let mut at_act = floor;
-        for _ in 0..pairs {
-            // ACT at its earliest: the same maxes as `earliest()`.
-            at_act = ready_act.max(busy).max(now);
-            if let Some((when, last_bg)) = last_act {
-                let gap = if last_bg == bg { t.t_rrd_l } else { t.t_rrd_s };
-                at_act = at_act.max(when + gap);
-            }
-            if faw_len == 4 {
-                at_act = at_act.max(faw[faw_head as usize] + t.t_faw);
-                faw[faw_head as usize] = at_act;
-                faw_head = (faw_head + 1) & 3;
-            } else {
-                faw[((faw_head + faw_len) & 3) as usize] = at_act;
-                faw_len += 1;
-            }
-            last_act = Some((at_act, bg));
-            let disturbances = self.banks[b].record_act(internal, at_act);
-            if trr_on {
-                // Same fault hook as the per-command ACT arm; the
-                // tracer is off on this path, so a fired miss only
-                // skips the observation.
-                let missed = self
-                    .faults
-                    .as_mut()
-                    .is_some_and(|fc| fc.fire(FaultKind::TrrSamplerMiss));
-                if !missed {
-                    if let Some(trr) = &mut self.trr {
-                        trr.observe_act(b, internal);
-                    }
-                }
-            }
-            if !disturbances.is_empty() {
-                self.sample_flips_of(b, at_act, internal, &disturbances);
-            }
-            // PRE at its earliest: ready_pre = at_act + tRAS ≥ at_act.
-            let at_pre = (at_act + t.t_ras).max(busy);
-            ready_act = (at_pre + t.t_rp).max(at_act + t.t_rc);
-            now = at_pre;
-        }
-        // Write back: the burst ends precharged, with the same column
-        // values a per-command loop would have left.
-        self.soa.open_row[b] = crate::bank::NO_OPEN_ROW;
-        self.soa.opened_at[b] = at_act;
-        self.soa.ready_act[b] = ready_act;
-        self.soa.ready_pre[b] = at_act + t.t_ras;
-        self.soa.ready_rdwr[b] = at_act + t.t_rcd;
-        let rank = &mut self.ranks[r];
-        rank.last_act = last_act;
-        rank.faw = faw;
-        rank.faw_head = faw_head;
-        rank.faw_len = faw_len;
-        self.stats.acts += u64::from(pairs);
-        self.stats.pres += u64::from(pairs);
-        self.banks[b].pres += u64::from(pairs);
-        Ok(now)
-    }
-
-    /// The fused fast path: ACT and PRE (the hammer-loop hot pair)
-    /// reuse the per-arm earliest they just computed as the issue
-    /// cycle; every other command class falls back to the probe +
-    /// issue pair.
-    #[inline]
-    fn issue_at_earliest_inner(
-        &mut self,
-        cmd: &DdrCommand,
-        floor: Cycle,
-    ) -> Result<(Cycle, CommandOutcome)> {
-        match *cmd {
-            DdrCommand::Act { bank, row } => {
-                let b = self.flat_bank(&bank);
-                let r = self.rank_index(bank.channel, bank.rank);
-                let earliest = self
-                    .soa
-                    .earliest_act(b)
-                    .max(self.ranks[r].earliest_act(bank.bank_group, &self.config.timing));
-                if earliest == Cycle::MAX {
-                    return Err(too_early(cmd, floor, Cycle::MAX));
-                }
-                let at = earliest.max(floor);
-                self.act_body(bank, row, b, r, at).map(|out| (at, out))
-            }
-            DdrCommand::Pre { bank } => {
-                let b = self.flat_bank(&bank);
-                let r = self.rank_index(bank.channel, bank.rank);
-                let at = self
-                    .soa
-                    .earliest_pre(b)
-                    .max(self.ranks[r].busy_until)
-                    .max(floor);
-                Ok((at, self.pre_body(b, at)))
-            }
-            _ => {
-                let earliest = self.earliest(cmd);
-                if earliest == Cycle::MAX {
-                    return Err(too_early(cmd, floor, Cycle::MAX));
-                }
-                let at = earliest.max(floor);
-                self.issue_inner(cmd, at).map(|out| (at, out))
-            }
-        }
     }
 
     /// The ACT state transition, after the caller has gated `now`
@@ -1333,67 +1077,6 @@ mod tests {
 
     fn module(mac: u64) -> DramModule {
         DramModule::new(DramConfig::test_config(mac)).unwrap()
-    }
-
-    /// The burst entry point must be state-identical to the
-    /// per-command loop it fuses: same clock, stats, flips, RNG
-    /// stream position, and timing columns — with and without TRR,
-    /// in both disturbance-accounting modes.
-    #[test]
-    fn hammer_pairs_burst_matches_per_command_loop() {
-        for batched in [false, true] {
-            for trr in [false, true] {
-                let mut cfg = DramConfig::test_config(600);
-                cfg.disturbance.blast_radius = 3;
-                cfg.batched_pressure = batched;
-                if trr {
-                    cfg.trr = Some(TrrConfig::vendor_default());
-                }
-                let mut per_cmd = DramModule::new(cfg.clone()).unwrap();
-                let mut burst = DramModule::new(cfg).unwrap();
-                let bank = bank0();
-                let act = DdrCommand::Act { bank, row: 8 };
-                let pre = DdrCommand::Pre { bank };
-                let mut now = Cycle(5);
-                for _ in 0..500 {
-                    now = per_cmd.issue_at_earliest(&act, now).unwrap().0;
-                    now = per_cmd.issue_at_earliest(&pre, now).unwrap().0;
-                }
-                let end = burst.issue_hammer_pairs(&bank, 8, 500, Cycle(5)).unwrap();
-                assert_eq!(end, now, "batched={batched} trr={trr}");
-                per_cmd.sync_disturbances(now);
-                burst.sync_disturbances(end);
-                assert_eq!(
-                    per_cmd.stats(),
-                    burst.stats(),
-                    "batched={batched} trr={trr}"
-                );
-                assert_eq!(per_cmd.bank_timing(&bank), burst.bank_timing(&bank));
-                assert_eq!(per_cmd.drain_flips(), burst.drain_flips());
-                // The next ACT lands on the same cycle on both — the
-                // written-back columns and rank window agree.
-                assert_eq!(per_cmd.earliest(&act), burst.earliest(&act));
-            }
-        }
-    }
-
-    #[test]
-    fn hammer_pairs_rejects_open_bank_and_bad_row() {
-        let mut m = module(1_000_000);
-        let g = m.config().geometry;
-        assert!(matches!(
-            m.issue_hammer_pairs(&bank0(), g.rows_per_bank(), 1, Cycle::ZERO),
-            Err(Error::Protocol(_))
-        ));
-        let act = DdrCommand::Act {
-            bank: bank0(),
-            row: 1,
-        };
-        m.issue(&act, Cycle::ZERO).unwrap();
-        assert!(matches!(
-            m.issue_hammer_pairs(&bank0(), 1, 1, Cycle::ZERO),
-            Err(Error::Timing(_))
-        ));
     }
 
     /// Open/close a row repeatedly, respecting timing.

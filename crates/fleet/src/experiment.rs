@@ -9,7 +9,8 @@
 use std::sync::{Mutex, PoisonError};
 
 use hammertime::experiments::{
-    run_suite, run_suite_traced, silent, Cell, CellCtx, Experiment, RunOptions, SuiteReport,
+    remaining_step_budget, run_suite, run_suite_traced, silent, Cell, CellCtx, Experiment,
+    RunOptions, SuiteReport,
 };
 use hammertime_common::Result;
 use hammertime_telemetry::TraceRecord;
@@ -66,10 +67,12 @@ impl Experiment for Fl1 {
                     cfg.slates = vec![slate];
                     cfg.faults = ctx.faults;
                     // Cells already run on suite workers; keep each
-                    // mini-fleet serial, and let the cell's ambient
-                    // step budget (if any) cover the whole fleet.
+                    // mini-fleet serial. The shards run on threads of
+                    // their own, which do not see this thread's step
+                    // budget, so each fleet machine gets what the cell
+                    // has left (`None` when the suite has no budget).
                     cfg.jobs = 1;
-                    cfg.step_budget = None;
+                    cfg.step_budget = remaining_step_budget();
                     let report = run_fleet(&cfg)?;
                     let rows = report
                         .stats

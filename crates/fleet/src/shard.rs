@@ -28,9 +28,10 @@
 //! Each machine runs under its own step-budget scope
 //! ([`hammertime::experiments::StepBudgetScope`] via `run_budgeted`):
 //! a machine that exhausts `step_budget` simulated cycles becomes a
-//! structured `Timeout` outcome, its siblings on the same worker keep
-//! their full budgets, and any *enclosing* suite-cell budget (FL1
-//! runs inside the experiment engine) is restored untouched.
+//! structured `Timeout` outcome, and its siblings on the same worker
+//! keep their full budgets. Shards run on threads of their own, so a
+//! caller's thread-local budget does not reach them: FL1 hands its
+//! cell's remaining budget in through `step_budget`.
 //!
 //! # One barrier per epoch
 //!
@@ -107,8 +108,9 @@ pub struct FleetConfig {
     pub attack_triples: Vec<String>,
     /// Per-machine budget of simulated cycles for the *whole* run
     /// (build + all epochs); exhaustion makes that machine a
-    /// `Timeout` outcome. `None` inherits whatever budget the calling
-    /// thread runs under (an enclosing suite cell's, or nothing).
+    /// `Timeout` outcome. `None` runs the machines unbudgeted: the
+    /// shards run on threads of their own, which do not see the
+    /// calling thread's budget.
     pub step_budget: Option<u64>,
     /// Record a cycle-stamped event trace of this machine id (must be
     /// below `machines`).

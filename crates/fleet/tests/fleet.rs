@@ -373,3 +373,21 @@ fn fl1_produces_population_rows_per_slate() {
         assert_eq!(row.len(), t.columns.len());
     }
 }
+
+/// FL1 runs its fleet on shard threads of their own, so the suite's
+/// thread-local step budget must be handed to the fleet explicitly: at
+/// a budget far below one quick machine's lifetime, every machine of
+/// every slate times out.
+#[test]
+fn fl1_honours_the_suite_step_budget() {
+    use hammertime::experiments::RunOptions;
+    let opts = RunOptions::new(true).filter(["FL1"]).step_budget(1_000);
+    let report = hammertime_fleet::run_all_with(&opts).unwrap();
+    let t = &report.tables[0];
+    assert_eq!(t.id, "FL1");
+    assert_eq!(t.rows.len(), FleetConfig::default_slates().len());
+    let failed = t.columns.iter().position(|c| c == "failed").unwrap();
+    for row in &t.rows {
+        assert_eq!(row[failed], "24", "slate {}: {row:?}", row[0]);
+    }
+}

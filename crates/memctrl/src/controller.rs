@@ -749,7 +749,7 @@ impl MemCtrl {
     }
 
     /// [`MemCtrl::advance_to`] driven by the reference scheduler
-    /// ([`MemCtrl::step_reference`]); differential tests and benches.
+    /// ([`MemCtrl::step_reference`]), for the differential tests.
     pub fn advance_to_reference(&mut self, target: Cycle) {
         while self.step_reference(target) {}
         if self.now < target {
@@ -1158,7 +1158,7 @@ impl MemCtrl {
     /// The pre-optimization scheduler: one linear FR-FCFS scan over
     /// every refresh scheduler and queued request, re-probing timing
     /// legality per request per step. Kept verbatim as the differential
-    /// oracle for [`MemCtrl::step`] and as the benchmark baseline.
+    /// oracle for [`MemCtrl::step`].
     pub fn step_reference(&mut self, target: Cycle) -> bool {
         if self.wedged.is_some() {
             return false;

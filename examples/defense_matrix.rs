@@ -2,7 +2,7 @@
 //! in the taxonomy catalog against every attack class, plus the benign
 //! cost — the summary artifact of the whole evaluation.
 //!
-//! Pass `--full` for the longer (non-quick) run the benchmarks use.
+//! Pass `--full` for the longer (non-quick) run the full suite uses.
 //!
 //! ```sh
 //! cargo run --release --example defense_matrix

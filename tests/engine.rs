@@ -238,23 +238,20 @@ fn step_budget_does_not_leak_between_runs() {
     assert!(!r2.has_failures());
 }
 
-/// Fixture for the dual-path budget test: one cell that hammers
-/// forever, on either the event-wheel or the reference scheduler.
-struct BudgetPathExp {
-    reference: bool,
-}
+/// Fixture for the budget test: one cell that hammers forever.
+struct RunawayExp;
 
 /// Simulated-time waypoints the runaway cell reached before the budget
 /// fired (appended once per outer `run` call).
 static PROGRESS: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
 
-impl Experiment for BudgetPathExp {
+impl Experiment for RunawayExp {
     fn id(&self) -> &'static str {
-        "BUDGETPATH"
+        "RUNAWAY"
     }
 
     fn title(&self) -> &'static str {
-        "step-budget dual-path fixture"
+        "step-budget runaway fixture"
     }
 
     fn columns(&self) -> &'static [&'static str] {
@@ -262,11 +259,8 @@ impl Experiment for BudgetPathExp {
     }
 
     fn cells(&self, _ctx: &CellCtx) -> Vec<Cell> {
-        let reference = self.reference;
-        vec![Cell::new("runs-away", move || {
-            let mut cfg = MachineConfig::fast(DefenseKind::None, 1_000_000);
-            cfg.reference_scheduler = reference;
-            let mut m = Machine::new(cfg)?;
+        vec![Cell::new("runs-away", || {
+            let mut m = Machine::new(MachineConfig::fast(DefenseKind::None, 1_000_000))?;
             let d = hammertime_common::DomainId(1);
             let arena = m.add_tenant(d, 4)?;
             m.set_workload(
@@ -286,17 +280,17 @@ impl Experiment for BudgetPathExp {
 }
 
 /// The step budget is charged in *simulated cycles*, so the identical
-/// cell exhausts the identical budget at the identical point on both
-/// scheduler paths: the wheel must not buy a runaway cell more (or
-/// less) simulated time than the reference scanner.
+/// cell exhausts the identical budget at the identical point on every
+/// run: a runaway cell times out after making progress, and two runs
+/// stop at the same waypoints with the same message.
 #[test]
 fn step_budget_truncates_identically_on_both_scheduler_paths() {
     let opts = RunOptions::new(true).jobs(1).step_budget(2_000_000);
     let mut traces: Vec<Vec<u64>> = Vec::new();
     let mut messages: Vec<String> = Vec::new();
-    for reference in [false, true] {
+    for _ in 0..2 {
         PROGRESS.lock().unwrap().clear();
-        let report = run_suite(&[&BudgetPathExp { reference }], &opts, &silent).unwrap();
+        let report = run_suite(&[&RunawayExp], &opts, &silent).unwrap();
         let t = &report.tables[0];
         assert_eq!(t.failures.len(), 1, "runaway cell must fail");
         assert_eq!(t.failures[0].kind, FailureKind::Timeout);
@@ -305,7 +299,7 @@ fn step_budget_truncates_identically_on_both_scheduler_paths() {
     }
     assert_eq!(
         traces[0], traces[1],
-        "budget fired at different simulated waypoints on the two scheduler paths"
+        "budget fired at different simulated waypoints on two runs"
     );
     assert!(
         !traces[0].is_empty(),

@@ -237,7 +237,7 @@ fn flush_forces_dram_traffic() {
     assert_eq!(r.mc.reads, 50);
 }
 
-/// Report serialization round-trips (the bench harness depends on it).
+/// Report serialization round-trips.
 #[test]
 fn report_round_trips_through_json() {
     let mut s = CloudScenario::build(MachineConfig::fast(DefenseKind::None, 24)).unwrap();
