@@ -21,6 +21,7 @@
 
 use crate::act_counter::{ActCounterBlock, ActCounterConfig, ActInterrupt};
 use crate::addrmap::{AddressMap, MappingScheme};
+use crate::bank_queue::{BankQueue, Entry, Op};
 use crate::mitigation::{ActAction, McMitigation, McMitigationConfig};
 use crate::request::{Completion, MemRequest, RequestKind};
 use crate::stats::McStats;
@@ -129,6 +130,24 @@ struct Pending {
     internal: bool,
 }
 
+impl Pending {
+    /// This request's key in its bank's index, at queue position
+    /// `index`.
+    fn entry(&self, index: usize) -> Entry {
+        let op = match self.req.kind {
+            RequestKind::Read => Op::Read,
+            RequestKind::Write => Op::Write,
+            RequestKind::Refresh { .. } | RequestKind::RefNeighbors { .. } => Op::Maintenance,
+        };
+        Entry {
+            seq: self.seq,
+            index,
+            row: self.coord.row,
+            op,
+        }
+    }
+}
+
 /// The integrated memory controller.
 #[derive(Debug, Clone)]
 pub struct MemCtrl {
@@ -149,10 +168,12 @@ pub struct MemCtrl {
     data_bus_free: Vec<Cycle>,
     /// Throttled (bank, row) pairs: no ACT before the stored cycle.
     throttle: HashMap<(usize, u32), Cycle>,
-    /// Per-bank ready queues: indices into `queue`, keyed by flat bank.
-    /// The fast scheduler prices each bank's requests against a single
-    /// timing snapshot instead of probing the device per request.
-    by_bank: Vec<Vec<usize>>,
+    /// Per-bank request index, keyed by flat bank: demand requests by
+    /// age and by `(row, op, seq)`, maintenance requests beside them.
+    /// The fast scheduler prices a bank against a single timing
+    /// snapshot and, through this index, only the few requests that
+    /// can still win ([`MemCtrl::bank_candidate`]).
+    by_bank: Vec<BankQueue>,
     /// Memoized winner of the last scheduling query. Between mutations
     /// (submit/issue/complete/throttle) the candidate set is a pure
     /// function of controller state, and the clock only ever parks
@@ -264,7 +285,7 @@ impl MemCtrl {
             cmd_bus_free: vec![Cycle::ZERO; g.channels as usize],
             data_bus_free: vec![Cycle::ZERO; g.channels as usize],
             throttle: HashMap::new(),
-            by_bank: vec![Vec::new(); g.total_banks() as usize],
+            by_bank: vec![BankQueue::default(); g.total_banks() as usize],
             sched_cache: None,
             wheel: EventWheel::new(g.total_banks() as usize),
             acted_refresh: None,
@@ -633,8 +654,7 @@ impl MemCtrl {
         self.sched_cache = None;
         let flat = bank.flat(self.map.geometry());
         self.wheel.mark_bank(flat);
-        self.by_bank[flat].push(self.queue.len());
-        self.queue.push(Pending {
+        let p = Pending {
             bank,
             req,
             seq,
@@ -642,7 +662,9 @@ impl MemCtrl {
             phase: Phase::Init,
             had_miss: false,
             internal,
-        });
+        };
+        self.by_bank[flat].insert(p.entry(self.queue.len()));
+        self.queue.push(p);
     }
 
     /// Host-privileged refresh instruction (§4.3): refresh the row
@@ -1125,34 +1147,80 @@ impl MemCtrl {
         }
     }
 
-    /// Prices one bank's ready queue against a single timing snapshot:
-    /// the bank's best candidate, or `None` when it has no issuable
-    /// work (empty, or parked behind a forced refresh of its rank).
+    /// Prices one bank against a single timing snapshot: the bank's
+    /// best candidate, or `None` when it has no issuable work (empty,
+    /// or parked behind a forced refresh of its rank).
+    ///
+    /// Only requests that can still win are priced. Every demand
+    /// request needs one of three commands, and each class is walked
+    /// oldest first ([`MemCtrl::walk_class`]):
+    ///
+    /// - with a row open, the reads and then the writes to it (CAS);
+    /// - with a row open, every request to another row (PRE);
+    /// - with the bank closed, every request (ACT). The throttle map
+    ///   can delay an ACT per row, so the oldest request need not win
+    ///   and the walk goes on past throttled rows.
+    ///
+    /// Maintenance requests need a command that depends on their
+    /// phase, so each of them is priced.
     fn bank_candidate(&self, b: usize) -> Option<Candidate> {
-        let list = &self.by_bank[b];
-        let &first = list.first()?;
-        let bank_id = self.queue[first].bank;
-        let floor = self.cmd_bus_free[bank_id.channel as usize].max(self.now);
+        let q = &self.by_bank[b];
+        let bank_id = self.queue[q.first()?.index].bank;
+        let ch = bank_id.channel as usize;
         let bt = self.dram.bank_timing(&bank_id);
-        let mut best: Option<Candidate> = None;
-        for &i in list {
-            // Per-request pruning must be strict (`>`): an equal-time
-            // candidate can still win on priority.
-            let lb = floor.max(self.queue[i].req.arrival);
-            if best.as_ref().is_some_and(|b| lb > b.issue_at) {
-                continue;
+        let base = self.cmd_bus_free[ch].max(self.now);
+        let mut best = None;
+        // Floor zero at priority zero: no candidate beats it, so the
+        // walk prices every maintenance request.
+        self.walk_class(q.maintenance(), Cycle::ZERO, 0, &bt, &mut best);
+        match bt.open_row {
+            Some(row) => {
+                let timing = &self.dram.config().timing;
+                let cas = base.max(bt.rdwr);
+                for (op, lead) in [(Op::Read, timing.cl), (Op::Write, timing.cwl)] {
+                    // A CAS is lifted so that its burst starts once
+                    // the data bus is free.
+                    let floor = cas.max(Cycle(self.data_bus_free[ch].raw().saturating_sub(lead)));
+                    self.walk_class(q.to_row(row, op), floor, 1, &bt, &mut best);
+                }
+                let misses = q.oldest_first().filter(|e| e.row != row);
+                self.walk_class(misses, base.max(bt.pre), 2, &bt, &mut best);
             }
-            // `None` here is a request parked behind a forced refresh
-            // of its rank (the acted-refresh completion case is
-            // intercepted in `run_until` before the query).
-            let Some(c) = self.candidate_from_snapshot(i, &bt) else {
+            None => self.walk_class(q.oldest_first(), base.max(bt.act), 2, &bt, &mut best),
+        }
+        best
+    }
+
+    /// Prices one command class of a bank, oldest first, into `best`.
+    /// Every candidate in the class is `(at, priority, seq)` with
+    /// `at >= floor`, so once `best` beats `(floor, priority, seq)` of
+    /// the next entry it beats that entry and every younger one, and
+    /// the walk stops. A future arrival or a throttled row only keeps
+    /// it going. `None` from pricing is a request parked behind a
+    /// forced refresh of its rank (the acted-refresh completion case
+    /// is intercepted in `run_until` before the query).
+    fn walk_class<'a>(
+        &self,
+        class: impl IntoIterator<Item = &'a Entry>,
+        floor: Cycle,
+        priority: u8,
+        bt: &BankTiming,
+        best: &mut Option<Candidate>,
+    ) {
+        for e in class {
+            if best
+                .as_ref()
+                .is_some_and(|b| key_of(b) < (floor, priority, e.seq))
+            {
+                break;
+            }
+            let Some(c) = self.candidate_from_snapshot(e.index, bt) else {
                 continue;
             };
             if best.as_ref().is_none_or(|b| better(&c, b)) {
-                best = Some(c);
+                *best = Some(c);
             }
         }
-        best
     }
 
     /// The pre-optimization scheduler: one linear FR-FCFS scan over
@@ -1450,27 +1518,20 @@ impl MemCtrl {
         self.sched_cache = None;
         let g = *self.map.geometry();
         let last = self.queue.len() - 1;
-        // Keep the per-bank lists and the acted-refresh pointer in sync
+        // Keep the per-bank index and the acted-refresh pointer in sync
         // with the swap_remove below: `index` leaves, `last` moves to
         // `index`.
-        let flat = self.queue[index].bank.flat(&g);
+        let leaving = &self.queue[index];
+        let flat = leaving.bank.flat(&g);
         self.wheel.mark_bank(flat);
-        let list = &mut self.by_bank[flat];
-        let pos = list
-            .iter()
-            .position(|&i| i == index)
-            .expect("queued request tracked in its bank list");
-        list.swap_remove(pos);
+        self.by_bank[flat].remove(leaving.entry(index));
         if index != last {
             // The moved request's queue index changes, invalidating any
             // cached candidate that captured it.
-            let moved_flat = self.queue[last].bank.flat(&g);
+            let moved = &self.queue[last];
+            let moved_flat = moved.bank.flat(&g);
             self.wheel.mark_bank(moved_flat);
-            for slot in &mut self.by_bank[moved_flat] {
-                if *slot == last {
-                    *slot = index;
-                }
-            }
+            self.by_bank[moved_flat].reindex(moved.entry(last), index);
         }
         match self.acted_refresh {
             Some(i) if i == index => self.acted_refresh = None,

@@ -38,6 +38,7 @@
 
 pub mod act_counter;
 pub mod addrmap;
+mod bank_queue;
 pub mod controller;
 pub mod mitigation;
 pub mod request;

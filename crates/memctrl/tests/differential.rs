@@ -85,6 +85,11 @@ fn run_script(mut mc: MemCtrl, ops: &[Op], fast: bool) -> Observed {
             _ => {} // back-to-back submit: deeper queues for the scan
         }
     }
+    finish(mc, fast)
+}
+
+/// Drains what is left and collects the observation.
+fn finish(mut mc: MemCtrl, fast: bool) -> Observed {
     if fast {
         mc.drain();
     } else {
@@ -176,6 +181,101 @@ proptest! {
         };
         let got = run_script(fast, &ops, true);
         let want = run_script(reference, &ops, false);
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// One burst of a deep-queue script: `(sel, line)` requests submitted
+/// back to back, mostly on the script's hot lines; a scattered tail of
+/// the same shape over all lines; an arrival lead for every third
+/// request (0 for none); and the horizon of the `run_while_busy` that
+/// follows.
+type Burst = (Vec<(u8, u64)>, Vec<(u8, u64)>, u64, u64);
+
+/// Replays `bursts` against `mc`. `hot` lists `(column, row)` pairs
+/// that pick the hot lines: a few columns of the first banks over a
+/// few rows, so a bank holds row hits, row conflicts and (under the
+/// mitigations) throttled rows at once.
+fn run_bursts(mut mc: MemCtrl, hot: &[(u64, u64)], bursts: &[Burst], fast: bool) -> Observed {
+    let g = *mc.map().geometry();
+    let total_lines = g.total_lines();
+    let stripe = total_lines / u64::from(g.rows_per_bank());
+    let hot: Vec<u64> = hot.iter().map(|&(col, row)| col + row * stripe).collect();
+    let mut id = 0;
+    for (ops, tail, lead, horizon) in bursts {
+        let hot_ops = ops
+            .iter()
+            .map(|&(sel, v)| (sel, hot[v as usize % hot.len()]));
+        let tail_ops = tail.iter().map(|&(sel, v)| (sel, v % total_lines));
+        for (i, (sel, line)) in hot_ops.chain(tail_ops).enumerate() {
+            let line = CacheLineAddr(line);
+            let arrival = if *lead > 0 && i % 3 == 2 {
+                Cycle(mc.now().raw() + lead)
+            } else {
+                mc.now()
+            };
+            let demand = |kind| MemRequest {
+                id,
+                line,
+                kind,
+                source: RequestSource::Core(0),
+                domain: DomainId(1),
+                arrival,
+            };
+            let result = match sel % 16 {
+                0..=8 => mc.submit(demand(RequestKind::Read)),
+                9..=13 => mc.submit(demand(RequestKind::Write)),
+                14 => mc.refresh_row(id, line, sel & 16 == 0),
+                _ => mc.ref_neighbors(id, line, 1 + u32::from(sel >> 5) % 2),
+            };
+            drop(result);
+            id += 1;
+        }
+        let target = Cycle(mc.now().raw() + horizon);
+        if fast {
+            mc.run_while_busy(target);
+        } else {
+            mc.run_while_busy_reference(target);
+        }
+    }
+    finish(mc, fast)
+}
+
+proptest! {
+    /// Deep bank queues with future arrivals: the per-bank index stops
+    /// pricing a command class once its oldest candidates are
+    /// decided, and that early stop must never skip the winner. Bursts
+    /// of up to 127 back-to-back requests on a few hot rows (plus a
+    /// scattered tail) stack hundreds deep when the horizon is short;
+    /// reads, writes, refresh instructions and REF_NEIGHBORS share
+    /// each bank, and every third request of some bursts arrives in
+    /// the future.
+    #[test]
+    fn deep_queues_match_reference(
+        hot in prop::collection::vec((0u64..4, 0u64..3), 1..6),
+        bursts in prop::collection::vec(
+            (
+                prop::collection::vec((any::<u8>(), any::<u64>()), 32..128),
+                prop::collection::vec((any::<u8>(), any::<u64>()), 0..16),
+                prop_oneof![Just(0u64), 1u64..300],
+                0u64..3_000,
+            ),
+            1..4,
+        ),
+        mitigation in arb_mitigation(),
+        closed_page in any::<bool>(),
+        refresh_enabled in any::<bool>(),
+        mac in prop_oneof![Just(24u64), Just(1_000_000u64)],
+        seed in any::<u64>(),
+    ) {
+        let policy = if closed_page { PagePolicy::Closed } else { PagePolicy::Open };
+        let Some((fast, reference)) =
+            make_pair(mitigation, policy, refresh_enabled, false, mac, seed)
+        else {
+            return Ok(());
+        };
+        let got = run_bursts(fast, &hot, &bursts, true);
+        let want = run_bursts(reference, &hot, &bursts, false);
         prop_assert_eq!(got, want);
     }
 }

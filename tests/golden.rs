@@ -1,5 +1,6 @@
 //! Golden-snapshot suite: pins the rendered quick-mode output of every
-//! registry experiment, byte for byte.
+//! registry experiment, byte for byte. An ignored test also checks the
+//! full-scale tables against their copies in `EXPERIMENTS.md`.
 //!
 //! The snapshots in `tests/golden/<ID>.txt` were generated from the
 //! pre-fast-path scheduler and disturbance model, so any optimisation
@@ -33,6 +34,15 @@ fn jobs() -> usize {
             .map(|n| n.get())
             .unwrap_or(1),
     }
+}
+
+/// Lines with trailing blanks removed: the table renderer pads every
+/// column, and the copies in `EXPERIMENTS.md` may drop the padding.
+fn trim_lines(text: &str) -> String {
+    text.lines()
+        .map(str::trim_end)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 fn regen() -> bool {
@@ -101,6 +111,38 @@ fn quick_mode_suite_matches_goldens() {
         assert!(
             known.contains(&name),
             "stray golden file tests/golden/{name} matches no registry experiment"
+        );
+    }
+}
+
+/// Full scale builds bank queues about twice as deep as quick mode
+/// does, and no golden file pins it: `EXPERIMENTS.md` is the reference.
+/// Every table must appear there verbatim, modulo trailing blanks. The
+/// full suite is too slow for a debug build, so the test is ignored by
+/// default; run it with `cargo test --release --test golden -- --ignored`.
+#[test]
+#[ignore = "full-scale suite; run in release with --ignored"]
+fn full_mode_suite_matches_experiments_md() {
+    let report = run_all_with(&RunOptions::new(false).jobs(jobs())).expect("suite runs");
+    assert!(
+        !report.has_failures(),
+        "healthy full-scale suite must not fail any cell: {:?}",
+        report.failures().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        report.tables.len(),
+        full_registry().len(),
+        "every registry experiment must produce a table"
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+    let doc = trim_lines(&fs::read_to_string(path).expect("read EXPERIMENTS.md"));
+    for table in &report.tables {
+        let rendered = table.to_string();
+        assert!(
+            doc.contains(&trim_lines(&rendered)),
+            "the full-scale {} table does not appear verbatim in EXPERIMENTS.md\n\
+             --- actual ---\n{rendered}",
+            table.id,
         );
     }
 }
