@@ -22,9 +22,9 @@
 //! A declarative [`AttackSpec`] names a triple (`"pfn/double/ptbit"`),
 //! [`AttackRun`] executes it on a [`hammertime::Machine`], and the
 //! [`experiment::A1`] experiment sweeps a curated cross product
-//! against the defense slate. Every workload the pipeline builds
-//! supports `box_clone`, so armed attacks checkpoint and migrate in
-//! fleet mode like any other tenant.
+//! against the defense slate. Every workload the pipeline builds is an
+//! owned, `Send` stream, so armed attacks migrate in fleet mode like
+//! any other tenant: the boxed workload moves to the destination.
 //!
 //! Determinism: allocators survey through deterministic surfaces
 //! (page-table iteration order, pure address-map probes), and fuzzed

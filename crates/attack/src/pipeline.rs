@@ -284,14 +284,4 @@ mod tests {
             none.verdict.raw_flips
         );
     }
-
-    #[test]
-    fn prepared_machine_checkpoints() {
-        // Attacks must migrate in fleet mode: every workload the
-        // pipeline installs supports box_clone.
-        let spec = AttackSpec::parse("thp/paced/flips").unwrap();
-        let run = AttackRun::new(spec, MachineConfig::fast(DefenseKind::None, 24));
-        let (m, _) = run.prepare().unwrap();
-        assert!(m.checkpoint().is_some());
-    }
 }

@@ -27,15 +27,10 @@ fn enumeration_is_stable_sorted_and_round_trips() {
 fn every_triple_builds_against_an_undefended_machine() {
     for spec in AttackSpec::all_triples() {
         let run = AttackRun::new(spec, MachineConfig::fast(DefenseKind::None, 24));
-        let (m, prep) = run
+        let (_, prep) = run
             .prepare()
             .unwrap_or_else(|e| panic!("{} failed to build: {e}", spec.name()));
         assert!(prep.aggressors > 0, "{} planned no aggressors", prep.triple);
-        assert!(
-            m.checkpoint().is_some(),
-            "{} must support checkpoint/migrate",
-            prep.triple
-        );
     }
 }
 

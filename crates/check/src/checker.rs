@@ -134,7 +134,7 @@ struct CmdCounts {
 /// via [`InvariantChecker::command`]; violations accumulate and are
 /// retrieved with [`InvariantChecker::violations`]. For a recorded
 /// trace, [`crate::lint_records`] drives this over each device
-/// segment; for a live stream, [`crate::ShadowChecker`] wraps it.
+/// segment.
 #[derive(Debug, Clone)]
 pub struct InvariantChecker {
     geometry: Geometry,

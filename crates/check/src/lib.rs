@@ -23,18 +23,17 @@
 //!   the engine behind the `trace lint` CLI subcommand. Traces are
 //!   self-describing (`DeviceReset` embeds the device config), so no
 //!   out-of-band configuration is needed.
-//! - [`ShadowChecker`]: the same engine as an opt-in live observer,
-//!   threaded through `MemCtrlConfig`/`MachineConfig` exactly like the
-//!   tracer — one `is_none()` branch when off, serializes as `null`.
 //! - [`mutate`]: a mutation harness (drop/shift/insert/reorder
 //!   commands in a recorded trace) proving each rule class actually
 //!   fires — the lint of the lint.
 //! - [`lint_domain_stripes`]: the OS-layer isolation invariant (no two
 //!   domains own row stripes within one guard radius).
 //!
-//! This crate sits between `hammertime-dram` and `hammertime-memctrl`
-//! in the dependency DAG: it can name device configs and commands, and
-//! the controller can embed a [`ShadowChecker`].
+//! The checker reads the recorded stream, never the live scheduler:
+//! it depends on `hammertime-dram` (to name device configs and
+//! commands) and `hammertime-telemetry`, and only the CLI's
+//! `trace lint` and the test suites depend on it. The controller and
+//! the machine do not compile against their own linter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,13 +43,11 @@ mod domain;
 mod lint;
 pub mod mutate;
 mod rules;
-mod shadow;
 
 pub use checker::InvariantChecker;
 pub use domain::lint_domain_stripes;
 pub use lint::{lint_records, lint_trace, LintReport};
 pub use rules::{Rule, RuleClass, Violation};
-pub use shadow::ShadowChecker;
 
 /// Maximum legal gap between consecutive REF commands to one rank, in
 /// multiples of tREFI: JEDEC DDR4 allows up to 8 REFs to be postponed

@@ -9,12 +9,13 @@
 //! run by the `trace lint --self-test` CLI mode and the golden
 //! integration test.
 //!
-//! Mutations are *site-searched*: each one replays the trace through a
-//! shadow checker to find a position where its violation is guaranteed
-//! to fire (e.g. an inserted fifth ACT targets a bank that is idle and
-//! past its tRP at the insertion cycle). A mutation that finds no site
-//! in the given trace is reported as skipped, not failed — e.g. a
-//! refresh-disabled trace cannot demonstrate refresh starvation.
+//! Mutations are *site-searched*: each one replays the trace through
+//! an [`InvariantChecker`] to find a position where its violation is
+//! guaranteed to fire (e.g. an inserted fifth ACT targets a bank that
+//! is idle and past its tRP at the insertion cycle). A mutation that
+//! finds no site in the given trace is reported as skipped, not failed
+//! — e.g. a refresh-disabled trace cannot demonstrate refresh
+//! starvation.
 
 use crate::checker::InvariantChecker;
 use crate::lint::lint_records;

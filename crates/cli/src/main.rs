@@ -724,7 +724,14 @@ fn cmd_fleet(args: &[String]) -> Result<()> {
 }
 
 fn cmd_generations() -> Result<()> {
-    println!("{}", experiments::e1_generations(false)?);
+    let report = experiments::run_all_with(&RunOptions::new(false).filter(["E1"]))?;
+    for t in &report.tables {
+        println!("{t}");
+    }
+    let failed = report.failures().count();
+    if failed > 0 {
+        return Err(Error::Fault(format!("{failed} cell(s) failed")));
+    }
     Ok(())
 }
 

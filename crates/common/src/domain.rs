@@ -59,8 +59,7 @@ impl fmt::Display for DomainId {
 /// This is the accounting substrate BreakHammer-style throttling needs
 /// (score suspects by the mitigation triggers they cause, not by raw
 /// bandwidth). The memory controller maintains one of these per domain;
-/// a tenant's counts travel with it across checkpoint/restore and fleet
-/// migration.
+/// a tenant's counts travel with it across fleet migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TriggerCounts {
     /// ACTs this domain fed into the in-DRAM TRR sampler.

@@ -13,8 +13,8 @@
 //!   per-component clocks that execute them.
 //! - [`energy`]: per-command energy constants for the energy proxy.
 //! - [`error`]: the shared error type.
-//! - [`traceformat`]: the version header shared by every serialized
-//!   trace artifact (input-side op traces, output-side command traces).
+//! - [`traceformat`]: the version header of the recorded command-trace
+//!   files.
 //!
 //! Nothing here depends on the rest of the workspace; the dependency DAG
 //! is `common <- dram <- memctrl <- cache/os <- core`.

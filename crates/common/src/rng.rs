@@ -93,25 +93,6 @@ impl DetRng {
         self.inner.gen::<f64>()
     }
 
-    /// Captures the generator's raw state mid-stream, so a checkpoint
-    /// codec can serialize it; [`DetRng::from_state`] restores a
-    /// generator that continues the identical draw sequence.
-    pub fn state(&self) -> [u64; 4] {
-        self.inner.state()
-    }
-
-    /// Rebuilds a generator from a state captured by [`DetRng::state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state (a xoshiro fixed point that
-    /// [`DetRng::state`] can never produce).
-    pub fn from_state(state: [u64; 4]) -> DetRng {
-        DetRng {
-            inner: SmallRng::from_state(state),
-        }
-    }
-
     /// Shuffles a slice in place (Fisher-Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         // Walk down from the end, swapping each element with a uniform
@@ -203,18 +184,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn state_round_trip_continues_the_stream() {
-        let mut a = DetRng::new(11);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = DetRng::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

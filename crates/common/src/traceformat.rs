@@ -1,16 +1,11 @@
-//! The shared on-disk trace header.
+//! The on-disk trace header.
 //!
-//! The workspace has two "trace" notions: the *input-side* operation
-//! trace ([`hammertime-workloads`]'s recorded access streams) and the
-//! *output-side* telemetry command trace (what the device actually
-//! executed). Both are serialized artifacts that outlive the process
-//! that wrote them, so both carry this common header — one magic, one
-//! version, and a [`TraceKind`] tag — and refuse to load a file of the
-//! wrong kind or a future version. Keeping the header here (the only
-//! crate both sides depend on) means the two formats cannot drift
-//! apart silently.
-//!
-//! [`hammertime-workloads`]: https://example.com/hammertime
+//! A recorded command trace (`hammertime-telemetry`'s `codec`) is a
+//! serialized artifact that outlives the process that wrote it, so it
+//! opens with this header — one magic, one version, and a
+//! [`TraceKind`] tag — and a reader refuses a foreign file or a future
+//! version. The kind tag has one value; a file carrying any other
+//! (such as the retired `Ops` kind) fails to load.
 
 use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
@@ -19,28 +14,15 @@ use serde::{Deserialize, Serialize};
 pub const TRACE_MAGIC: &str = "HTRC";
 
 /// Current trace format version. Bump on any incompatible change to
-/// either payload format.
+/// the payload format.
 pub const TRACE_VERSION: u32 = 1;
 
 /// Which payload follows the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceKind {
-    /// Input-side: a recorded stream of memory access operations
-    /// (`hammertime-workloads`).
-    Ops,
-    /// Output-side: a cycle-stamped telemetry event stream including
-    /// the DDR commands the device executed (`hammertime-telemetry`).
+    /// A cycle-stamped telemetry event stream including the DDR
+    /// commands the device executed (`hammertime-telemetry`).
     Commands,
-}
-
-impl TraceKind {
-    /// Short lowercase name, for messages and file sniffing.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Ops => "ops",
-            TraceKind::Commands => "commands",
-        }
-    }
 }
 
 /// Version header carried by every serialized trace.
@@ -55,27 +37,18 @@ pub struct TraceHeader {
 }
 
 impl TraceHeader {
-    /// Header for an input-side operation trace.
-    pub fn ops() -> TraceHeader {
-        TraceHeader::new(TraceKind::Ops)
-    }
-
-    /// Header for an output-side telemetry command trace.
+    /// Header for a telemetry command trace.
     pub fn commands() -> TraceHeader {
-        TraceHeader::new(TraceKind::Commands)
-    }
-
-    fn new(kind: TraceKind) -> TraceHeader {
         TraceHeader {
             magic: TRACE_MAGIC.to_string(),
             version: TRACE_VERSION,
-            kind,
+            kind: TraceKind::Commands,
         }
     }
 
-    /// Checks magic, version, and kind; `Err(Error::Config)` with a
+    /// Checks magic and version; `Err(Error::Config)` with a
     /// diagnosable message on any mismatch.
-    pub fn validate(&self, expected: TraceKind) -> Result<()> {
+    pub fn validate(&self) -> Result<()> {
         if self.magic != TRACE_MAGIC {
             return Err(Error::Config(format!(
                 "not a hammertime trace: magic {:?} (want {TRACE_MAGIC:?})",
@@ -88,13 +61,6 @@ impl TraceHeader {
                 self.version
             )));
         }
-        if self.kind != expected {
-            return Err(Error::Config(format!(
-                "wrong trace kind: file holds a {} trace, expected {}",
-                self.kind.name(),
-                expected.name()
-            )));
-        }
         Ok(())
     }
 }
@@ -105,20 +71,16 @@ mod tests {
 
     #[test]
     fn validate_accepts_matching_kind() {
-        assert!(TraceHeader::ops().validate(TraceKind::Ops).is_ok());
-        assert!(TraceHeader::commands()
-            .validate(TraceKind::Commands)
-            .is_ok());
+        assert!(TraceHeader::commands().validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_mismatches() {
-        let mut h = TraceHeader::ops();
-        assert!(h.validate(TraceKind::Commands).is_err());
+        let mut h = TraceHeader::commands();
         h.magic = "NOPE".into();
-        assert!(h.validate(TraceKind::Ops).is_err());
+        assert!(h.validate().is_err());
         let mut h = TraceHeader::commands();
         h.version = TRACE_VERSION + 1;
-        assert!(h.validate(TraceKind::Commands).is_err());
+        assert!(h.validate().is_err());
     }
 }

@@ -74,11 +74,11 @@ impl Experiment for E1 {
 
 #[cfg(test)]
 mod tests {
-    use crate::experiments::e1_generations;
+    use crate::experiments::run_checked;
 
     #[test]
     fn e1_trend_worsens() {
-        let t = e1_generations(true).unwrap();
+        let t = run_checked("E1", true);
         let flips: Vec<u64> = t.rows.iter().map(|r| r[3].parse().unwrap()).collect();
         // Even the DDR3-era module flips (the original Rowhammer
         // finding), but successive generations flip far more, faster.

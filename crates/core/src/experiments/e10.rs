@@ -72,11 +72,11 @@ impl Experiment for E10 {
 
 #[cfg(test)]
 mod tests {
-    use crate::experiments::e10_ecc;
+    use crate::experiments::run_checked;
 
     #[test]
     fn e10_ecc_masks_isolated_flips_only() {
-        let t = e10_ecc(true).unwrap();
+        let t = run_checked("E10", true);
         let get = |row: usize, col: &str| -> u64 {
             let ci = t.columns.iter().position(|c| c == col).unwrap();
             t.rows[row][ci].parse().unwrap()

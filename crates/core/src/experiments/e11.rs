@@ -76,11 +76,11 @@ impl Experiment for E11 {
 
 #[cfg(test)]
 mod tests {
-    use crate::experiments::e11_page_policy;
+    use crate::experiments::run_checked;
 
     #[test]
     fn e11_closed_page_is_not_a_defense() {
-        let t = e11_page_policy(true).unwrap();
+        let t = run_checked("E11", true);
         let get = |row: usize, col: &str| -> f64 {
             let ci = t.columns.iter().position(|c| c == col).unwrap();
             t.rows[row][ci].parse().unwrap()

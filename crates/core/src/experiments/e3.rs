@@ -52,11 +52,11 @@ impl Experiment for E3 {
 
 #[cfg(test)]
 mod tests {
-    use crate::experiments::e3_dma_blindspot;
+    use crate::experiments::run_checked;
 
     #[test]
     fn e3_blindspot_shape() {
-        let t = e3_dma_blindspot(true).unwrap();
+        let t = run_checked("E3", true);
         let get = |d: &str, c: &str| -> u64 { t.get(d, c).unwrap().parse().unwrap() };
         assert!(get("none", "cpu attack") > 0);
         assert!(get("none", "dma attack") > 0);

@@ -93,11 +93,11 @@ impl Experiment for E6 {
 
 #[cfg(test)]
 mod tests {
-    use crate::experiments::e6_scaling;
+    use crate::experiments::run_checked;
 
     #[test]
     fn e6_sram_grows_as_mac_shrinks() {
-        let t = e6_scaling().unwrap();
+        let t = run_checked("E6", false);
         let col = |row: usize, name: &str| -> u64 {
             let ci = t.columns.iter().position(|c| c == name).unwrap();
             t.rows[row][ci].parse().unwrap()

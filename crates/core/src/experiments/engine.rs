@@ -76,8 +76,9 @@ impl Cell {
         &self.label
     }
 
-    /// Consumes the cell and produces its rows.
-    pub fn run(self) -> Result<CellRows> {
+    /// Consumes the cell and produces its rows. Only the suite runner
+    /// calls this, inside [`run_budgeted`]'s guard.
+    fn run(self) -> Result<CellRows> {
         (self.run)()
     }
 }
@@ -548,14 +549,4 @@ fn run_suite_impl(
         .flat_map(|slot| slot.into_inner().expect("trace slot poisoned"))
         .collect();
     Ok((SuiteReport { tables }, trace))
-}
-
-/// Runs a single experiment serially (the compatibility path behind
-/// the per-experiment functions). Unlike [`run_suite`], the first cell
-/// error propagates as `Err` — callers that want graceful degradation
-/// go through the suite runner.
-pub fn run_one(exp: &dyn Experiment, quick: bool) -> Result<ExpTable> {
-    let ctx = CellCtx::new(quick);
-    let rows: Result<Vec<CellRows>> = exp.cells(&ctx).into_iter().map(Cell::run).collect();
-    exp.reduce(quick, rows?)
 }

@@ -80,11 +80,11 @@ impl Experiment for F1 {
 
 #[cfg(test)]
 mod tests {
-    use crate::experiments::f1_rowbuffer;
+    use crate::experiments::run_checked;
 
     #[test]
     fn f1_latency_ordering() {
-        let t = f1_rowbuffer().unwrap();
+        let t = run_checked("F1", false);
         let get = |k: &str| -> u64 { t.get(k, "latency (cycles)").unwrap().parse().unwrap() };
         let hit = get("row-buffer hit");
         let miss = get("empty-bank miss");

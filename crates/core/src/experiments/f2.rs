@@ -128,11 +128,11 @@ impl Experiment for F2 {
 
 #[cfg(test)]
 mod tests {
-    use crate::experiments::f2_interleaving;
+    use crate::experiments::run_checked;
 
     #[test]
     fn f2_subarray_isolation_keeps_parallelism() {
-        let t = f2_interleaving(true).unwrap();
+        let t = run_checked("F2", true);
         let get = |scheme: &str, col: &str| -> f64 { t.get(scheme, col).unwrap().parse().unwrap() };
         let interleave = get("none", "reads/kcyc");
         let partition = get("bank-partition", "reads/kcyc");

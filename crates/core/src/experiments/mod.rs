@@ -36,9 +36,9 @@ mod t1;
 
 pub use common::FAST_MAC;
 pub use engine::{
-    remaining_step_budget, run_budgeted, run_one, run_suite, run_suite_traced, silent, Cell,
-    CellCtx, CellFailure, CellProgress, CellRows, FailureKind, FailureProgress, RunOptions,
-    StepBudgetScope, SuiteReport,
+    remaining_step_budget, run_budgeted, run_suite, run_suite_traced, silent, Cell, CellCtx,
+    CellFailure, CellProgress, CellRows, FailureKind, FailureProgress, RunOptions, StepBudgetScope,
+    SuiteReport,
 };
 pub use table::ExpTable;
 
@@ -95,12 +95,6 @@ pub fn registry() -> Vec<&'static dyn Experiment> {
     ]
 }
 
-/// Convenience: run the entire suite (serially) and return the full
-/// report, tables in experiment order.
-pub fn run_all(quick: bool) -> Result<SuiteReport> {
-    run_all_with(&RunOptions::new(quick))
-}
-
 /// Runs the registry under the given options (parallelism, filter,
 /// fault plan, step budget).
 pub fn run_all_with(opts: &RunOptions) -> Result<SuiteReport> {
@@ -116,80 +110,14 @@ pub fn run_all_traced(
     run_suite_traced(&registry(), opts, &silent)
 }
 
-/// **T1** (paper Table 1): the primitive × defense matrix.
-pub fn t1_defense_matrix(quick: bool) -> Result<ExpTable> {
-    run_one(&t1::T1, quick)
-}
-
-/// **F1** (paper Fig. 1): row-buffer semantics.
-pub fn f1_rowbuffer() -> Result<ExpTable> {
-    run_one(&f1::F1, false)
-}
-
-/// **F2** (paper Fig. 2): interleaving schemes.
-pub fn f2_interleaving(quick: bool) -> Result<ExpTable> {
-    run_one(&f2::F2, quick)
-}
-
-/// **F3**: defense efficacy and overhead on degraded hardware, swept
-/// over fault-plan intensity.
-pub fn f3_degraded(quick: bool) -> Result<ExpTable> {
-    run_one(&f3::F3, quick)
-}
-
-/// **E1** (§3): the worsening-Rowhammer generational trend.
-pub fn e1_generations(quick: bool) -> Result<ExpTable> {
-    run_one(&e1::E1, quick)
-}
-
-/// **E2** (§3): TRRespass vs a fixed-size in-DRAM tracker.
-pub fn e2_trr_bypass(quick: bool) -> Result<ExpTable> {
-    run_one(&e2::E2, quick)
-}
-
-/// **E3** (§1/§4.2): the ANVIL DMA blind spot.
-pub fn e3_dma_blindspot(quick: bool) -> Result<ExpTable> {
-    run_one(&e3::E3, quick)
-}
-
-/// **E4** (§4.2): frequency-centric defenses and counter evasion.
-pub fn e4_frequency(quick: bool) -> Result<ExpTable> {
-    run_one(&e4::E4, quick)
-}
-
-/// **E5** (§4.3): refresh mechanisms — effectiveness and cost.
-pub fn e5_refresh(quick: bool) -> Result<ExpTable> {
-    run_one(&e5::E5, quick)
-}
-
-/// **E6** (§3): tracker SRAM scaling vs flat software cost.
-pub fn e6_scaling() -> Result<ExpTable> {
-    run_one(&e6::E6, false)
-}
-
-/// **E7** (§2.1/§4.1): subarray-boundary and remap inference.
-pub fn e7_inference(quick: bool) -> Result<ExpTable> {
-    run_one(&e7::E7, quick)
-}
-
-/// **E8** (§4.4): enclave memory under attack.
-pub fn e8_enclave(quick: bool) -> Result<ExpTable> {
-    run_one(&e8::E8, quick)
-}
-
-/// **E9**: benign overhead per defense (no attack).
-pub fn e9_overhead(quick: bool) -> Result<ExpTable> {
-    run_one(&e9::E9, quick)
-}
-
-/// **E10** (ablation): SEC-DED ECC visibility of hammer damage.
-pub fn e10_ecc(quick: bool) -> Result<ExpTable> {
-    run_one(&e10::E10, quick)
-}
-
-/// **E11** (ablation): row-buffer page policy vs hammer rate.
-pub fn e11_page_policy(quick: bool) -> Result<ExpTable> {
-    run_one(&e11::E11, quick)
+/// Runs one experiment through the suite runner, as every caller
+/// does, and requires that no cell failed (test helper).
+#[cfg(test)]
+pub(crate) fn run_checked(id: &str, quick: bool) -> ExpTable {
+    let report = run_all_with(&RunOptions::new(quick).filter([id])).unwrap();
+    let failures: Vec<_> = report.failures().collect();
+    assert!(failures.is_empty(), "{id} cells failed: {failures:?}");
+    report.tables.into_iter().next().expect("one table per id")
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use hammertime_cache::{CacheConfig, Llc};
 use hammertime_common::addr::LINES_PER_PAGE;
 use hammertime_common::geometry::BankId;
 use hammertime_common::{
-    CacheLineAddr, Cycle, DetRng, DomainId, Error, FaultPlan, Geometry, RequestSource, Result,
+    CacheLineAddr, Cycle, DomainId, Error, FaultPlan, Geometry, RequestSource, Result,
 };
 use hammertime_dram::disturb::FlipEvent;
 use hammertime_dram::remap::RemapConfig;
@@ -107,12 +107,6 @@ pub struct MachineConfig {
     /// falls back to the experiment engine's ambient per-cell tracer
     /// (also usually `None`) and costs nothing on the simulation path.
     pub tracer: Option<Tracer>,
-    /// Opt-in protocol-invariant shadow checker, threaded into the
-    /// memory controller so every DDR command the scheduler puts on the
-    /// bus is validated live against the `trace lint` invariant
-    /// catalog. `None` — the default — costs one branch per issued
-    /// command and changes no observable output.
-    pub shadow: Option<hammertime_check::ShadowChecker>,
 }
 
 impl MachineConfig {
@@ -147,7 +141,6 @@ impl MachineConfig {
             page_policy: hammertime_memctrl::controller::PagePolicy::Open,
             faults: None,
             tracer: None,
-            shadow: None,
         }
     }
 
@@ -177,7 +170,6 @@ impl MachineConfig {
             page_policy: hammertime_memctrl::controller::PagePolicy::Open,
             faults: None,
             tracer: None,
-            shadow: None,
         }
     }
 
@@ -201,38 +193,18 @@ struct Tenant {
     finished: bool,
 }
 
-impl Tenant {
-    /// Deep copy for checkpointing; `None` if the workload is
-    /// non-checkpointable (its `box_clone` returns `None`).
-    fn try_clone(&self) -> Option<Tenant> {
-        let workload = match &self.workload {
-            None => None,
-            Some(w) => Some(w.box_clone()?),
-        };
-        Some(Tenant {
-            domain: self.domain,
-            workload,
-            source: self.source,
-            ready_at: self.ready_at,
-            waiting_on: self.waiting_on,
-            waiting_line: self.waiting_line,
-            ops_done: self.ops_done,
-            finished: self.finished,
-        })
-    }
-}
-
 /// A tenant detached from its machine, ready to be admitted elsewhere.
 ///
-/// This is the migration unit of the fleet layer: the workload is the
-/// same deep snapshot the checkpoint machinery takes (`box_clone`),
-/// moved out of the source machine rather than cloned, so the stream
-/// resumes on the destination exactly where it stopped. Addresses
-/// inside the workload are *virtual* lines of the tenant's arena;
-/// re-admitting the export with the same page count onto a fresh
-/// domain reproduces that arena (vpages `0..pages`), so the stream
-/// stays valid even when the destination machine has a different
-/// geometry — only the physical placement changes.
+/// This is the migration unit of the fleet layer: the boxed workload
+/// itself is moved out of the source machine, never copied, so the
+/// stream resumes on the destination exactly where it stopped and
+/// nothing but the destination can advance it. Migration therefore
+/// needs only `Workload: Send`. Addresses inside the workload are
+/// *virtual* lines of the tenant's arena; re-admitting the export with
+/// the same page count onto a fresh domain reproduces that arena
+/// (vpages `0..pages`), so the stream stays valid even when the
+/// destination machine has a different geometry — only the physical
+/// placement changes.
 pub struct TenantExport {
     /// The tenant's trust domain id (fleet-unique by convention).
     pub domain: DomainId,
@@ -261,51 +233,6 @@ impl std::fmt::Debug for TenantExport {
     }
 }
 
-/// A deep copy of every piece of mutable machine state at one instant.
-///
-/// Restoring a checkpoint rewinds the simulation exactly: a restored
-/// machine replays the same commands, flips, and reports as the
-/// original timeline (the determinism tests pin this). Two sharing
-/// caveats, both deliberate: the tracer and shadow checker are shared
-/// handles, so events recorded after the capture point are *not*
-/// unwound by a restore — replayed spans appear twice in the trace —
-/// and the engine's ambient per-cell step budget is not checkpointed.
-pub struct MachineCheckpoint {
-    at: Cycle,
-    mc: MemCtrl,
-    llc: Llc,
-    allocator: FrameAllocator,
-    spaces: AddressSpaces,
-    daemon: Box<dyn SoftwareDefense>,
-    enclaves: BTreeMap<u32, Enclave>,
-    tenants: Vec<Tenant>,
-    next_id: u64,
-    window_start: Cycle,
-    overhead: DefenseOverhead,
-    flips: Vec<FlipEvent>,
-    remapped_this_window: std::collections::HashSet<u64>,
-    interrupt_log: Vec<hammertime_memctrl::ActInterrupt>,
-    lockup: Option<String>,
-    run_start: Option<Cycle>,
-    rng: DetRng,
-}
-
-impl MachineCheckpoint {
-    /// The simulated time at which this checkpoint was captured.
-    pub fn at(&self) -> Cycle {
-        self.at
-    }
-}
-
-impl std::fmt::Debug for MachineCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MachineCheckpoint")
-            .field("at", &self.at)
-            .field("tenants", &self.tenants.len())
-            .finish()
-    }
-}
-
 /// Memoized row→frames translations, keyed `(address-map generation,
 /// per-(bank, row) results)`; see the `frames_cache` field.
 type FramesMemo = (u64, std::collections::HashMap<(usize, u32), Vec<u64>>);
@@ -313,8 +240,7 @@ type FramesMemo = (u64, std::collections::HashMap<(usize, u32), Vec<u64>>);
 /// Most interrupts the machine keeps for
 /// [`Machine::drain_interrupt_log`] between drains. Nothing in a run
 /// reads the log, and an unbounded one grows with simulated time
-/// (about 20 MB over a full-scale convoluted-refresh cell) and is
-/// copied into every checkpoint.
+/// (about 20 MB over a full-scale convoluted-refresh cell).
 const INTERRUPT_LOG_CAP: usize = 256;
 
 /// The assembled machine.
@@ -350,7 +276,6 @@ pub struct Machine {
     /// The resolved tracer (config or ambient); also threaded into the
     /// controller and device configs.
     tracer: Option<Tracer>,
-    rng: DetRng,
 }
 
 impl std::fmt::Debug for Machine {
@@ -538,7 +463,6 @@ impl Machine {
             page_policy: cfg.page_policy,
             faults: cfg.faults,
             tracer: tracer.clone(),
-            shadow: cfg.shadow.clone(),
         };
         let mc = MemCtrl::new(mc_config, dram_config, cfg.seed ^ 0x3C3C)?;
         let llc = Llc::new(cache_cfg)?;
@@ -579,7 +503,6 @@ impl Machine {
             ..DefenseOverhead::default()
         };
         Ok(Machine {
-            rng: DetRng::new(cfg.seed ^ 0x99AA),
             mc,
             llc,
             allocator,
@@ -822,79 +745,6 @@ impl Machine {
     /// The domain owning the physical row (flip attribution).
     pub fn owner_of_row(&self, bank: &BankId, row: u32) -> Option<DomainId> {
         self.allocator.owner_of_row(bank, row)
-    }
-
-    /// Captures a deep copy of the machine's mutable state, or `None`
-    /// if any tenant workload or the defense daemon is
-    /// non-checkpointable (their `box_clone` returns `None` — e.g. a
-    /// trace replayer borrowing external state).
-    pub fn checkpoint(&self) -> Option<MachineCheckpoint> {
-        let tenants = self
-            .tenants
-            .iter()
-            .map(Tenant::try_clone)
-            .collect::<Option<Vec<_>>>()?;
-        let daemon = self.daemon.box_clone()?;
-        Some(MachineCheckpoint {
-            at: self.mc.now(),
-            mc: self.mc.clone(),
-            llc: self.llc.clone(),
-            allocator: self.allocator.clone(),
-            spaces: self.spaces.clone(),
-            daemon,
-            enclaves: self.enclaves.clone(),
-            tenants,
-            next_id: self.next_id,
-            window_start: self.window_start,
-            overhead: self.overhead,
-            flips: self.flips.clone(),
-            remapped_this_window: self.remapped_this_window.clone(),
-            interrupt_log: self.interrupt_log.clone(),
-            lockup: self.lockup.clone(),
-            run_start: self.run_start,
-            rng: self.rng.clone(),
-        })
-    }
-
-    /// Rewinds the machine to `cp`, leaving the checkpoint reusable.
-    /// The restored timeline is deterministic: re-running it replays
-    /// the original commands, flips, and stats exactly (see
-    /// [`MachineCheckpoint`] for the tracer/shadow sharing caveat).
-    ///
-    /// # Panics
-    ///
-    /// Never: the checkpoint was only constructible from checkpointable
-    /// parts, so re-cloning them cannot fail.
-    pub fn restore(&mut self, cp: &MachineCheckpoint) {
-        self.mc = cp.mc.clone();
-        self.llc = cp.llc.clone();
-        self.allocator = cp.allocator.clone();
-        self.spaces = cp.spaces.clone();
-        self.daemon = cp
-            .daemon
-            .box_clone()
-            .expect("checkpointed daemon is checkpointable");
-        self.enclaves = cp.enclaves.clone();
-        self.tenants = cp
-            .tenants
-            .iter()
-            .map(|t| {
-                t.try_clone()
-                    .expect("checkpointed workload is checkpointable")
-            })
-            .collect();
-        self.next_id = cp.next_id;
-        self.window_start = cp.window_start;
-        self.overhead = cp.overhead;
-        self.flips = cp.flips.clone();
-        self.remapped_this_window = cp.remapped_this_window.clone();
-        self.interrupt_log = cp.interrupt_log.clone();
-        self.lockup = cp.lockup.clone();
-        self.run_start = cp.run_start;
-        self.rng = cp.rng.clone();
-        // The memo outlives the restore only if the map generation
-        // matches; clearing unconditionally keeps restore simple.
-        self.frames_cache.borrow_mut().1.clear();
     }
 
     /// Runs the machine for `cycles` cycles (stops early on platform
@@ -1529,11 +1379,6 @@ impl Machine {
         self.mc.submit(req)
     }
 
-    /// A fresh deterministic RNG stream derived from the machine seed.
-    pub fn fork_rng(&mut self) -> DetRng {
-        self.rng.fork(self.next_id)
-    }
-
     /// The pfn-leak surface ([`hammertime_os::AddressSpaces::pfn_map`]
     /// forwarded through the machine): `domain`'s `(vpage, frame)`
     /// pairs in ascending vpage order. This is the privileged oracle
@@ -1794,68 +1639,6 @@ mod tests {
         let d = DomainId(1);
         m.add_tenant(d, 2).unwrap();
         assert!(m.set_mapping(MappingScheme::CacheLineInterleave).is_err());
-    }
-
-    #[test]
-    fn checkpoint_restore_replays_identically() {
-        let build = || {
-            let mut m = Machine::new(MachineConfig::fast(DefenseKind::None, 24)).unwrap();
-            let d = DomainId(1);
-            let _arena = m.add_tenant(d, 2).unwrap();
-            let rows = m.rows_of_domain(d);
-            let (_, _, l1) = &rows[0];
-            let (_, _, l2) = &rows[2];
-            m.set_workload(
-                d,
-                Box::new(HammerPattern::double_sided(l1[0], l2[0], 2_000)),
-            )
-            .unwrap();
-            m
-        };
-        let digest = |m: &mut Machine| {
-            let r = m.report();
-            (r.flips_total, r.mc, r.dram.acts, r.cycles, r.overhead)
-        };
-        let mut m = build();
-        m.run(400_000);
-        let cp = m.checkpoint().expect("hammer workloads are checkpointable");
-        assert_eq!(cp.at(), m.now());
-        m.run(600_000);
-        let original = digest(&mut m);
-        // Rewind and replay: the restored timeline must re-produce the
-        // original byte-for-byte, including flip events and stats.
-        m.restore(&cp);
-        assert_eq!(m.now(), cp.at());
-        m.run(600_000);
-        assert_eq!(digest(&mut m), original);
-        // The checkpoint survives the restore and works a second time.
-        m.restore(&cp);
-        m.run(600_000);
-        assert_eq!(digest(&mut m), original);
-    }
-
-    #[test]
-    fn checkpoint_refuses_non_checkpointable_workloads() {
-        #[derive(Debug)]
-        struct Opaque;
-        impl Workload for Opaque {
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-            fn next_op(&mut self) -> Option<AccessOp> {
-                None
-            }
-            // Default box_clone: None (non-checkpointable).
-        }
-        let mut m = Machine::new(MachineConfig::fast(DefenseKind::None, 24)).unwrap();
-        let d = DomainId(1);
-        let _ = m.add_tenant(d, 2).unwrap();
-        assert!(m.checkpoint().is_some(), "no workload yet: checkpointable");
-        m.set_workload(d, Box::new(Opaque)).unwrap();
-        assert!(
-            m.checkpoint().is_none(),
-            "a workload without box_clone must block the checkpoint"
-        );
     }
 
     #[test]

@@ -187,12 +187,7 @@ pub struct CommandOutcome {
 }
 
 /// The simulated DRAM device.
-///
-/// `Clone` supports epoch checkpointing: a clone is an independent,
-/// byte-identical snapshot of the device (a cloned *traced* device
-/// shares the original's tracer handle, and each clone emits its own
-/// closing [`Event::DeviceStats`] on drop).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DramModule {
     config: DramConfig,
     /// FSM/timing state of every bank, struct-of-arrays: scheduler

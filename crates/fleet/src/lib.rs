@@ -6,10 +6,10 @@
 //! plans, defense slates — across worker threads under the engine's
 //! determinism contract (`--jobs N` is byte-identical to the serial
 //! loop), runs a tenant/workload scheduler over them (ASID churn,
-//! cross-machine migration via the checkpoint machinery), and reduces
-//! the per-machine reports to population-level *distributions*:
-//! flip-rate and defense-overhead percentiles per slate, the numbers
-//! a deployment decision actually turns on.
+//! cross-machine migration that moves a detached tenant's workload),
+//! and reduces the per-machine reports to population-level
+//! *distributions*: flip-rate and defense-overhead percentiles per
+//! slate, the numbers a deployment decision actually turns on.
 //!
 //! Layers:
 //!

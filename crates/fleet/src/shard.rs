@@ -13,9 +13,9 @@
 //! # Migration protocol
 //!
 //! A tenant migrating from machine A to machine B is detached during
-//! A's epoch `e` (`Machine::detach_tenant` — the same deep workload
-//! snapshot the checkpoint machinery takes, moved rather than cloned)
-//! and posted to a double-buffered mailbox keyed by destination id.
+//! A's epoch `e` (`Machine::detach_tenant` moves the boxed workload
+//! out of A, mid-stream; nothing copies it) and posted to a
+//! double-buffered mailbox keyed by destination id.
 //! B admits it at the start of epoch `e + 1`, **sorted by source
 //! machine id**: arrival order in the mailbox depends on worker
 //! scheduling, the sort erases that. Since every routing decision is

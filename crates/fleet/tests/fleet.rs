@@ -143,9 +143,8 @@ fn machine_b() -> Machine {
 
 const MIGRANT: DomainId = DomainId(77);
 
-/// Detaches the tenant mid-hammer on A and returns two identical
-/// exports (the second via the workload's checkpoint clone).
-fn detach_mid_run() -> (TenantExport, TenantExport) {
+/// Runs the tenant on a fresh machine A and detaches it mid-stream.
+fn detach_mid_run() -> TenantExport {
     let mut a = machine_a();
     let arena = a.add_tenant(MIGRANT, 2).unwrap();
     a.set_workload(MIGRANT, Box::new(StreamWorkload::new(arena, 600, 4)))
@@ -159,30 +158,19 @@ fn detach_mid_run() -> (TenantExport, TenantExport) {
         .translate(MIGRANT, hammertime_common::CacheLineAddr(0))
         .is_err());
     assert!(export.ops_done > 0, "tenant must be detached mid-run");
-
-    let twin = TenantExport {
-        domain: export.domain,
-        pages: export.pages,
-        workload: export
-            .workload
-            .as_ref()
-            .and_then(|w| w.box_clone())
-            .map(Some)
-            .expect("stream workloads are checkpointable"),
-        ops_done: export.ops_done,
-        triggers: export.triggers,
-    };
-    (export, twin)
+    export
 }
 
-/// Tenant-migration round trip: a tenant checkpointed mid-hammer on
+/// Tenant-migration round trip: a tenant detached mid-stream from
 /// machine A and admitted on machine B (different geometry) behaves
-/// exactly like the same snapshot admitted on a from-scratch
-/// identically-seeded B.
+/// exactly like its twin, detached from a second, identically seeded
+/// A and admitted on a from-scratch identically seeded B. Migration
+/// moves the workload; nothing copies it.
 #[test]
 fn migration_round_trip_matches_from_scratch_run() {
-    let (export, twin) = detach_mid_run();
+    let (export, twin) = (detach_mid_run(), detach_mid_run());
     assert_eq!(export.pages, 2);
+    assert_eq!(export.ops_done, twin.ops_done);
 
     let run_b = |export: TenantExport| {
         let mut b = machine_b();
@@ -254,7 +242,7 @@ fn migrated_tenant_carries_its_trigger_ledger() {
 /// same domain twice must be rejected.
 #[test]
 fn admitted_tenants_block_remapping_and_double_admission() {
-    let (export, twin) = detach_mid_run();
+    let (export, twin) = (detach_mid_run(), detach_mid_run());
     let mut b = machine_b();
     b.admit_tenant(export).unwrap();
     let err = b.set_mapping(MappingScheme::BankPartition).unwrap_err();

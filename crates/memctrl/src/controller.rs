@@ -26,7 +26,6 @@ use crate::mitigation::{ActAction, McMitigation, McMitigationConfig};
 use crate::request::{Completion, MemRequest, RequestKind};
 use crate::stats::McStats;
 use crate::wheel::{better, key_of, Candidate, CandidateKind, EventWheel};
-use hammertime_check::ShadowChecker;
 use hammertime_common::geometry::BankId;
 use hammertime_common::{
     CacheLineAddr, Cycle, DetRng, DomainId, DramCoord, Error, FaultClock, FaultKind, FaultPlan,
@@ -79,12 +78,6 @@ pub struct MemCtrlConfig {
     /// metrics. `None` — the default — adds no work to the scheduling
     /// path. Serializes as `null` either way.
     pub tracer: Option<Tracer>,
-    /// Opt-in protocol-invariant shadow checker: every successfully
-    /// issued DDR command is replayed through the same invariant
-    /// catalog `trace lint` enforces offline, catching scheduler bugs
-    /// at the moment they reach the bus. `None` — the default — costs
-    /// one branch per issued command. Serializes as `null` either way.
-    pub shadow: Option<ShadowChecker>,
 }
 
 impl MemCtrlConfig {
@@ -101,7 +94,6 @@ impl MemCtrlConfig {
             page_policy: PagePolicy::Open,
             faults: None,
             tracer: None,
-            shadow: None,
         }
     }
 }
@@ -149,7 +141,7 @@ impl Pending {
 }
 
 /// The integrated memory controller.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemCtrl {
     config: MemCtrlConfig,
     map: AddressMap,
@@ -247,11 +239,6 @@ impl MemCtrl {
         }
         let g = dram_config.geometry;
         let t = dram_config.timing;
-        if let Some(shadow) = &config.shadow {
-            // Mirror the DeviceReset record a tracer would see, arming
-            // the shadow engine with this device's geometry and timing.
-            shadow.on_device_reset(&dram_config);
-        }
         let dram = DramModule::new(dram_config)?;
         let mut rng = DetRng::new(seed ^ 0xC0FF_EE00);
         let counters = ActCounterBlock::new(config.act_counters, g.channels, rng.fork(1));
@@ -1294,9 +1281,6 @@ impl MemCtrl {
                         return false;
                     }
                 };
-                if let Some(shadow) = &self.config.shadow {
-                    shadow.on_command(c.issue_at, &(&cmd).into());
-                }
                 self.now = c.issue_at;
                 self.cmd_bus_free[channel as usize] = c.issue_at + 1;
                 // PRE_ALL and REF settle every bank of the rank, and a
@@ -1380,9 +1364,6 @@ impl MemCtrl {
                 return false;
             }
         };
-        if let Some(shadow) = &self.config.shadow {
-            shadow.on_command(at, &(&cmd).into());
-        }
         self.now = at;
         let ch = cmd.channel() as usize;
         self.cmd_bus_free[ch] = at + 1;

@@ -64,10 +64,6 @@ impl Anvil {
 }
 
 impl SoftwareDefense for Anvil {
-    fn box_clone(&self) -> Option<Box<dyn SoftwareDefense>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "anvil"
     }

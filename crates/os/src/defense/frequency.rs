@@ -49,10 +49,6 @@ impl Default for AggressorRemap {
 }
 
 impl SoftwareDefense for AggressorRemap {
-    fn box_clone(&self) -> Option<Box<dyn SoftwareDefense>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "aggressor-remap"
     }
@@ -110,10 +106,6 @@ impl Default for LineLocking {
 }
 
 impl SoftwareDefense for LineLocking {
-    fn box_clone(&self) -> Option<Box<dyn SoftwareDefense>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "line-locking"
     }

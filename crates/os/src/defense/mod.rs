@@ -177,14 +177,6 @@ pub trait SoftwareDefense: std::fmt::Debug {
         let _ = line;
         Vec::new()
     }
-
-    /// A boxed deep copy of this defense mid-run, for machine
-    /// checkpointing. `None` (the default) marks the defense as
-    /// non-checkpointable and makes `Machine::checkpoint` fail rather
-    /// than silently fork shared state.
-    fn box_clone(&self) -> Option<Box<dyn SoftwareDefense>> {
-        None
-    }
 }
 
 /// The do-nothing defense (vulnerable baseline).
@@ -194,10 +186,6 @@ pub struct NoDefense;
 impl SoftwareDefense for NoDefense {
     fn name(&self) -> &'static str {
         "none"
-    }
-
-    fn box_clone(&self) -> Option<Box<dyn SoftwareDefense>> {
-        Some(Box::new(self.clone()))
     }
 }
 

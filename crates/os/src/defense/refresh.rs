@@ -85,10 +85,6 @@ impl VictimRefresh {
 }
 
 impl SoftwareDefense for VictimRefresh {
-    fn box_clone(&self) -> Option<Box<dyn SoftwareDefense>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         match self.config.mechanism {
             RefreshMechanism::Instruction => "victim-refresh/instr",

@@ -1,22 +1,24 @@
 //! On-disk command-trace formats: compact binary and JSONL.
 //!
-//! Both formats carry the workspace-wide
+//! Both formats carry the
 //! [`hammertime_common::traceformat::TraceHeader`] and the same record
 //! stream, and convert losslessly into each other:
 //!
-//! - **JSONL** — first line is the header JSON, every following line
-//!   one [`TraceRecord`] JSON. Greppable, diffable with text tools.
-//! - **Binary** — magic `HTRB`, `u32` version, `u8` kind, then
-//!   fixed-layout little-endian records until EOF. Roughly an order of
-//!   magnitude smaller; the streaming layout (no record count up
-//!   front) lets sinks append without seeking.
+//! - **JSONL** — first line is the header JSON
+//!   (`{"magic":"HTRC","version":1,"kind":"Commands"}`), every
+//!   following line one [`TraceRecord`] JSON. Greppable, diffable with
+//!   text tools.
+//! - **Binary** — magic `HTRB`, `u32` version (little-endian), `u8`
+//!   kind tag (`1`, commands), then fixed-layout little-endian records
+//!   until EOF. Roughly an order of magnitude smaller.
 //!
-//! [`read_path`] sniffs the leading magic bytes, so callers never
-//! specify the format when loading.
+//! A header of any other kind (tag `0`, or `"kind":"Ops"`) is refused
+//! with [`Error::Config`]. [`read_path`] sniffs the leading magic
+//! bytes, so callers never specify the format when loading.
 
 use crate::event::{CmdEvent, Event, TraceRecord};
 use hammertime_common::geometry::BankId;
-use hammertime_common::traceformat::{TraceHeader, TraceKind, TRACE_VERSION};
+use hammertime_common::traceformat::{TraceHeader, TraceKind};
 use hammertime_common::{Error, Result};
 use std::fs;
 use std::path::Path;
@@ -42,23 +44,6 @@ impl CommandTrace {
             records,
         }
     }
-}
-
-/// The JSONL header line (with trailing newline) a streaming sink
-/// writes on open.
-pub fn jsonl_header() -> String {
-    let mut line = serde_json::to_string(&TraceHeader::commands()).expect("header serializes");
-    line.push('\n');
-    line
-}
-
-/// The binary header bytes a streaming sink writes on open.
-pub fn binary_header() -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.extend_from_slice(BINARY_MAGIC);
-    out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-    out.push(kind_tag(TraceKind::Commands));
-    out
 }
 
 /// Writes `trace` to `path`, picking the format by extension:
@@ -110,7 +95,7 @@ pub fn from_jsonl(text: &str) -> Result<CommandTrace> {
         .ok_or_else(|| Error::Config("empty trace file".into()))?;
     let header: TraceHeader = serde_json::from_str(header_line)
         .map_err(|e| Error::Config(format!("bad trace header: {e}")))?;
-    header.validate(TraceKind::Commands)?;
+    header.validate()?;
     let mut records = Vec::new();
     for (n, line) in lines.enumerate() {
         if line.is_empty() {
@@ -128,7 +113,7 @@ pub fn to_binary(trace: &CommandTrace) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + trace.records.len() * 24);
     out.extend_from_slice(BINARY_MAGIC);
     out.extend_from_slice(&trace.header.version.to_le_bytes());
-    out.push(kind_tag(trace.header.kind));
+    out.push(KIND_COMMANDS);
     for rec in &trace.records {
         encode_record(rec, &mut out);
     }
@@ -143,17 +128,16 @@ pub fn from_binary(bytes: &[u8]) -> Result<CommandTrace> {
         return Err(Error::Config("not a binary hammertime trace".into()));
     }
     let version = r.u32()?;
-    let kind = match r.u8()? {
-        0 => TraceKind::Ops,
-        1 => TraceKind::Commands,
-        other => return Err(Error::Config(format!("unknown trace kind tag {other}"))),
-    };
+    let tag = r.u8()?;
+    if tag != KIND_COMMANDS {
+        return Err(Error::Config(format!("unknown trace kind tag {tag}")));
+    }
     let header = TraceHeader {
         magic: hammertime_common::TRACE_MAGIC.to_string(),
         version,
-        kind,
+        kind: TraceKind::Commands,
     };
-    header.validate(TraceKind::Commands)?;
+    header.validate()?;
     let mut records = Vec::new();
     while !r.done() {
         records.push(decode_record(&mut r)?);
@@ -161,12 +145,9 @@ pub fn from_binary(bytes: &[u8]) -> Result<CommandTrace> {
     Ok(CommandTrace { header, records })
 }
 
-fn kind_tag(kind: TraceKind) -> u8 {
-    match kind {
-        TraceKind::Ops => 0,
-        TraceKind::Commands => 1,
-    }
-}
+/// The binary header's kind tag for [`TraceKind::Commands`], the only
+/// kind there is.
+const KIND_COMMANDS: u8 = 1;
 
 // --- binary record layout -------------------------------------------------
 //
@@ -196,7 +177,7 @@ const CMD_REF: u8 = 5;
 const CMD_REF_NEIGHBORS: u8 = 6;
 
 /// Appends the binary encoding of one record.
-pub(crate) fn encode_record(rec: &TraceRecord, out: &mut Vec<u8>) {
+fn encode_record(rec: &TraceRecord, out: &mut Vec<u8>) {
     out.extend_from_slice(&rec.cycle.to_le_bytes());
     match &rec.event {
         Event::DeviceReset { config_json } => {
@@ -615,13 +596,36 @@ mod tests {
         );
     }
 
+    /// The header bytes of both formats are part of the on-disk
+    /// contract: traces written by earlier builds must keep loading.
+    #[test]
+    fn headers_are_pinned_byte_for_byte() {
+        let empty = CommandTrace::new(vec![]);
+        let bin = to_binary(&empty);
+        assert_eq!(&bin[..4], b"HTRB");
+        assert_eq!(&bin[4..8], &1u32.to_le_bytes());
+        assert_eq!(bin[8], 1, "kind tag of a command trace");
+        assert_eq!(bin.len(), 9, "an empty trace is its header");
+        let text = to_jsonl(&empty);
+        assert_eq!(
+            text.lines().next(),
+            Some(r#"{"magic":"HTRC","version":1,"kind":"Commands"}"#)
+        );
+    }
+
     #[test]
     fn truncated_and_corrupt_inputs_are_rejected() {
         let trace = CommandTrace::new(exhaustive_records());
         let bytes = to_binary(&trace);
         assert!(from_binary(&bytes[..bytes.len() - 3]).is_err());
         assert!(from_binary(b"NOPE").is_err());
+        let mut ops_kind = bytes.clone();
+        ops_kind[8] = 0;
+        assert!(matches!(from_binary(&ops_kind), Err(Error::Config(_))));
         assert!(from_jsonl("").is_err());
-        assert!(from_jsonl("{\"magic\":\"HTRC\",\"version\":1,\"kind\":\"Ops\"}\n").is_err());
+        assert!(matches!(
+            from_jsonl("{\"magic\":\"HTRC\",\"version\":1,\"kind\":\"Ops\"}\n"),
+            Err(Error::Config(_))
+        ));
     }
 }

@@ -8,14 +8,14 @@
 //!
 //! - [`Event`] / [`TraceRecord`]: the closed event taxonomy, each
 //!   record stamped with its simulation cycle.
-//! - [`Tracer`]: a cheaply clonable handle threaded through component
-//!   configs as `Option<Tracer>`. `None` (the default) costs one
-//!   `is_none()` check on the hot path and nothing else.
-//! - Sinks: unbounded buffer, bounded ring (keeps the newest records),
-//!   streaming JSONL, streaming compact binary.
+//! - [`Tracer`]: a cheaply clonable handle to one shared record buffer
+//!   and one metrics registry, threaded through component configs as
+//!   `Option<Tracer>`. `None` (the default) costs one `is_none()`
+//!   check on the hot path and nothing else.
 //! - [`codec`]: the on-disk [`CommandTrace`] formats (binary ↔ JSONL,
-//!   lossless both ways) under the workspace-wide versioned
-//!   [`hammertime_common::traceformat::TraceHeader`].
+//!   lossless both ways) under the versioned
+//!   [`hammertime_common::traceformat::TraceHeader`]. A traced run's
+//!   buffer is written once, at the end, by [`codec::write_path`].
 //! - [`diff`]: record-exact trace comparison — first divergence plus
 //!   per-kind count deltas.
 //! - [`metrics`]: a counters/histograms registry snapshotted into run

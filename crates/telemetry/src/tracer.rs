@@ -1,186 +1,62 @@
-//! The `Tracer` handle and its pluggable sinks.
+//! The `Tracer` handle.
 //!
 //! A [`Tracer`] is a cheaply clonable handle (an `Arc`) shared by every
 //! component of one simulated machine: the DRAM device, the memory
-//! controller, and the machine itself all hold clones and feed the same
-//! sink, so a trace interleaves all layers in emission order. Configs
-//! carry `Option<Tracer>`; `None` is the default and the contract is
-//! *zero cost when off* — the only overhead on the hot path is one
-//! `is_none()` check.
+//! controller, and the machine itself all hold clones and append to
+//! the same in-memory buffer, so a trace interleaves all layers in
+//! emission order. Configs carry `Option<Tracer>`; `None` is the
+//! default and the contract is *zero cost when off* — the only
+//! overhead on the hot path is one `is_none()` check. A traced run's
+//! records are drained with [`Tracer::take_records`] and written to
+//! disk in one piece by [`crate::codec::write_path`].
 //!
-//! Tracers deliberately do not round-trip through serde: a sink is a
-//! live resource (a buffer or an open file), not data. The manual
-//! impls below serialize any tracer as `null` — so a traced component
-//! config serializes exactly like an untraced one — and refuse to
-//! deserialize anything but `null` (which the blanket `Option` impl
-//! maps to `None` before this impl is ever consulted).
+//! Tracers deliberately do not round-trip through serde: a tracer is a
+//! live resource, not data. The manual impls below serialize any
+//! tracer as `null` — so a traced component config serializes exactly
+//! like an untraced one — and refuse to deserialize anything but
+//! `null` (which the blanket `Option` impl maps to `None` before this
+//! impl is ever consulted).
 
-use crate::codec;
 use crate::event::{Event, TraceRecord};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use hammertime_common::{Cycle, Error, Result};
-use std::collections::VecDeque;
+use hammertime_common::Cycle;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Where emitted records go.
-enum Sink {
-    /// Unbounded in-memory buffer; drained with
-    /// [`Tracer::take_records`].
-    Buffer(Vec<TraceRecord>),
-    /// Bounded in-memory ring: keeps the most recent `cap` records,
-    /// counting what it evicts.
-    Ring {
-        buf: VecDeque<TraceRecord>,
-        cap: usize,
-        dropped: u64,
-    },
-    /// Streaming JSONL file (header line already written).
-    Jsonl(Writer),
-    /// Streaming compact binary file (header already written).
-    Binary(Writer),
-}
-
-/// A buffered file writer that remembers its first I/O error instead
-/// of returning one per emit (emit sites cannot propagate errors).
-struct Writer {
-    out: BufWriter<File>,
-    err: Option<String>,
-}
-
-impl Writer {
-    fn write_all(&mut self, bytes: &[u8]) {
-        if self.err.is_none() {
-            if let Err(e) = self.out.write_all(bytes) {
-                self.err = Some(e.to_string());
-            }
-        }
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if let Err(e) = self.out.flush() {
-            self.err.get_or_insert_with(|| e.to_string());
-        }
-        match &self.err {
-            Some(e) => Err(Error::Config(format!("trace sink: {e}"))),
-            None => Ok(()),
-        }
-    }
-}
-
 struct Inner {
-    sink: Mutex<Sink>,
+    records: Mutex<Vec<TraceRecord>>,
     metrics: Mutex<MetricsRegistry>,
 }
 
-/// A shared handle to one trace sink plus one metrics registry.
+/// A shared handle to one record buffer plus one metrics registry.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<Inner>,
 }
 
 impl Tracer {
-    fn with_sink(sink: Sink) -> Tracer {
+    /// An empty tracer: run, then [`Tracer::take_records`].
+    pub fn buffer() -> Tracer {
         Tracer {
             inner: Arc::new(Inner {
-                sink: Mutex::new(sink),
+                records: Mutex::new(Vec::new()),
                 metrics: Mutex::new(MetricsRegistry::default()),
             }),
         }
     }
 
-    /// Unbounded in-memory sink. The workhorse for `trace record` and
-    /// tests: run, then [`Tracer::take_records`].
-    pub fn buffer() -> Tracer {
-        Tracer::with_sink(Sink::Buffer(Vec::new()))
-    }
-
-    /// Bounded in-memory ring keeping the most recent `cap` records;
-    /// older records are evicted and counted by [`Tracer::dropped`].
-    /// `cap` must be nonzero.
-    pub fn ring(cap: usize) -> Tracer {
-        assert!(cap > 0, "ring sink capacity must be nonzero");
-        Tracer::with_sink(Sink::Ring {
-            buf: VecDeque::with_capacity(cap),
-            cap,
-            dropped: 0,
-        })
-    }
-
-    /// Streaming JSONL sink: one header line, then one JSON record per
-    /// line. Human-greppable.
-    pub fn jsonl_file(path: &Path) -> Result<Tracer> {
-        let mut w = open(path)?;
-        w.write_all(codec::jsonl_header().as_bytes());
-        Ok(Tracer::with_sink(Sink::Jsonl(w)))
-    }
-
-    /// Streaming compact binary sink (see [`crate::codec`] for the
-    /// format). Roughly 10× smaller than JSONL.
-    pub fn binary_file(path: &Path) -> Result<Tracer> {
-        let mut w = open(path)?;
-        w.write_all(&codec::binary_header());
-        Ok(Tracer::with_sink(Sink::Binary(w)))
-    }
-
-    /// Appends one cycle-stamped event to the sink.
+    /// Appends one cycle-stamped event to the buffer.
     pub fn emit(&self, cycle: Cycle, event: Event) {
         let rec = TraceRecord {
             cycle: cycle.raw(),
             event,
         };
-        let mut sink = self.inner.sink.lock().expect("trace sink poisoned");
-        match &mut *sink {
-            Sink::Buffer(buf) => buf.push(rec),
-            Sink::Ring { buf, cap, dropped } => {
-                if buf.len() == *cap {
-                    buf.pop_front();
-                    *dropped += 1;
-                }
-                buf.push_back(rec);
-            }
-            Sink::Jsonl(w) => {
-                let mut line = serde_json::to_string(&rec).expect("record serializes");
-                line.push('\n');
-                w.write_all(line.as_bytes());
-            }
-            Sink::Binary(w) => {
-                let mut bytes = Vec::new();
-                codec::encode_record(&rec, &mut bytes);
-                w.write_all(&bytes);
-            }
-        }
+        self.records().push(rec);
     }
 
-    /// Drains and returns the in-memory records (emission order).
-    /// File sinks return an empty vec — their records are on disk.
+    /// Drains and returns the buffered records (emission order).
     pub fn take_records(&self) -> Vec<TraceRecord> {
-        let mut sink = self.inner.sink.lock().expect("trace sink poisoned");
-        match &mut *sink {
-            Sink::Buffer(buf) => std::mem::take(buf),
-            Sink::Ring { buf, .. } => buf.drain(..).collect(),
-            Sink::Jsonl(_) | Sink::Binary(_) => Vec::new(),
-        }
-    }
-
-    /// Records evicted by a ring sink so far (0 for other sinks).
-    pub fn dropped(&self) -> u64 {
-        match &*self.inner.sink.lock().expect("trace sink poisoned") {
-            Sink::Ring { dropped, .. } => *dropped,
-            _ => 0,
-        }
-    }
-
-    /// Flushes a file sink and surfaces any deferred I/O error.
-    /// In-memory sinks always succeed.
-    pub fn flush(&self) -> Result<()> {
-        match &mut *self.inner.sink.lock().expect("trace sink poisoned") {
-            Sink::Jsonl(w) | Sink::Binary(w) => w.flush(),
-            _ => Ok(()),
-        }
+        std::mem::take(&mut *self.records())
     }
 
     /// Adds `delta` to counter `name`.
@@ -204,32 +80,19 @@ impl Tracer {
         m.snapshot()
     }
 
+    fn records(&self) -> std::sync::MutexGuard<'_, Vec<TraceRecord>> {
+        self.inner.records.lock().expect("trace buffer poisoned")
+    }
+
     fn metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
         let mut m = self.inner.metrics.lock().expect("trace metrics poisoned");
         f(&mut m);
     }
 }
 
-fn open(path: &Path) -> Result<Writer> {
-    let file = File::create(path)
-        .map_err(|e| Error::Config(format!("create trace file {}: {e}", path.display())))?;
-    Ok(Writer {
-        out: BufWriter::new(file),
-        err: None,
-    })
-}
-
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kind = match &*self.inner.sink.lock().expect("trace sink poisoned") {
-            Sink::Buffer(b) => format!("buffer[{}]", b.len()),
-            Sink::Ring { buf, cap, dropped } => {
-                format!("ring[{}/{cap}, dropped {dropped}]", buf.len())
-            }
-            Sink::Jsonl(_) => "jsonl".to_string(),
-            Sink::Binary(_) => "binary".to_string(),
-        };
-        write!(f, "Tracer({kind})")
+        write!(f, "Tracer(buffer[{}])", self.records().len())
     }
 }
 
@@ -246,7 +109,7 @@ impl serde::Serialize for Tracer {
 impl serde::Deserialize for Tracer {
     fn deserialize_json(_v: &serde::Value) -> std::result::Result<Self, serde::Error> {
         Err(serde::Error::expected(
-            "null (a tracer is a live sink and cannot be deserialized)",
+            "null (a tracer is a live buffer and cannot be deserialized)",
             "Tracer",
         ))
     }
@@ -275,21 +138,7 @@ mod tests {
         let recs = t.take_records();
         assert_eq!(recs.len(), 5);
         assert!(recs.windows(2).all(|w| w[0].cycle < w[1].cycle));
-        assert_eq!(t.dropped(), 0);
         assert!(t.take_records().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let t = Tracer::ring(4);
-        for n in 0..10 {
-            t.emit(Cycle(n), flip(n));
-        }
-        assert_eq!(t.dropped(), 6);
-        let recs = t.take_records();
-        assert_eq!(recs.len(), 4);
-        let cycles: Vec<u64> = recs.iter().map(|r| r.cycle).collect();
-        assert_eq!(cycles, vec![6, 7, 8, 9], "most recent records survive");
     }
 
     #[test]

@@ -123,10 +123,6 @@ impl HammerPattern {
 }
 
 impl Workload for HammerPattern {
-    fn box_clone(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         self.name
     }
@@ -219,10 +215,6 @@ impl FuzzedHammer {
 }
 
 impl Workload for FuzzedHammer {
-    fn box_clone(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "fuzzed"
     }
@@ -273,10 +265,6 @@ impl DmaHammer {
 }
 
 impl Workload for DmaHammer {
-    fn box_clone(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "dma-hammer"
     }

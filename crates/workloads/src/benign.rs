@@ -15,149 +15,7 @@
 //!   hammer's bank-conflict behaviour).
 
 use crate::ops::{AccessOp, Workload};
-use hammertime_common::{CacheLineAddr, DetRng, Error, Result};
-use serde::{Deserialize, Serialize};
-
-/// A serializable mid-stream snapshot of a benign workload, so a
-/// tenant's stream can leave the process and resume bit-exactly.
-///
-/// Floating-point parameters travel as IEEE-754 bit patterns and RNG
-/// state as raw words, so the restored generator continues the
-/// *identical* draw sequence. RNG state is a `Vec` rather than an
-/// array purely for codec reasons; [`WorkloadSnapshot::restore`]
-/// length-checks it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WorkloadSnapshot {
-    /// A [`StreamWorkload`] mid-sweep.
-    Stream {
-        /// Lines swept, in order.
-        arena: Vec<CacheLineAddr>,
-        /// Total operations to issue.
-        accesses: u64,
-        /// Operations already issued.
-        issued: u64,
-        /// Store cadence (0 = read-only).
-        write_every: u64,
-    },
-    /// A [`RandomWorkload`] mid-stream.
-    Random {
-        /// Candidate lines.
-        arena: Vec<CacheLineAddr>,
-        /// Total operations to issue.
-        accesses: u64,
-        /// Operations already issued.
-        issued: u64,
-        /// `write_ratio` as IEEE-754 bits.
-        write_ratio_bits: u64,
-        /// Raw RNG state words (always 4).
-        rng: Vec<u64>,
-    },
-    /// A [`ZipfianWorkload`] mid-stream.
-    Zipfian {
-        /// Candidate lines, rank order.
-        arena: Vec<CacheLineAddr>,
-        /// Precomputed CDF as IEEE-754 bits (the constructor's `theta`
-        /// is not retained, so the CDF itself travels).
-        cdf_bits: Vec<u64>,
-        /// Total operations to issue.
-        accesses: u64,
-        /// Operations already issued.
-        issued: u64,
-        /// Raw RNG state words (always 4).
-        rng: Vec<u64>,
-    },
-}
-
-fn rng_state_words(rng: &DetRng) -> Vec<u64> {
-    rng.state().to_vec()
-}
-
-fn rng_from_words(words: &[u64], what: &str) -> Result<DetRng> {
-    let state: [u64; 4] = words.try_into().map_err(|_| {
-        Error::Config(format!(
-            "{what} snapshot carries {} RNG state words, want 4",
-            words.len()
-        ))
-    })?;
-    if state.iter().all(|&w| w == 0) {
-        return Err(Error::Config(format!(
-            "{what} snapshot carries the all-zero RNG state"
-        )));
-    }
-    Ok(DetRng::from_state(state))
-}
-
-impl WorkloadSnapshot {
-    /// Rebuilds the boxed workload this snapshot captured, positioned
-    /// to continue the identical operation stream.
-    ///
-    /// Structured `Err` (never a panic) on a malformed snapshot — an
-    /// empty arena or a wrong-length/all-zero RNG state, which a
-    /// tampered or hand-built snapshot could carry.
-    pub fn restore(&self) -> Result<Box<dyn Workload>> {
-        match self {
-            WorkloadSnapshot::Stream {
-                arena,
-                accesses,
-                issued,
-                write_every,
-            } => {
-                if arena.is_empty() {
-                    return Err(Error::Config("stream snapshot has an empty arena".into()));
-                }
-                Ok(Box::new(StreamWorkload {
-                    arena: arena.clone(),
-                    accesses: *accesses,
-                    issued: *issued,
-                    write_every: *write_every,
-                }))
-            }
-            WorkloadSnapshot::Random {
-                arena,
-                accesses,
-                issued,
-                write_ratio_bits,
-                rng,
-            } => {
-                if arena.is_empty() {
-                    return Err(Error::Config("random snapshot has an empty arena".into()));
-                }
-                Ok(Box::new(RandomWorkload {
-                    arena: arena.clone(),
-                    accesses: *accesses,
-                    issued: *issued,
-                    write_ratio: f64::from_bits(*write_ratio_bits),
-                    rng: rng_from_words(rng, "random")?,
-                }))
-            }
-            WorkloadSnapshot::Zipfian {
-                arena,
-                cdf_bits,
-                accesses,
-                issued,
-                rng,
-            } => {
-                if arena.is_empty() {
-                    return Err(Error::Config("zipfian snapshot has an empty arena".into()));
-                }
-                if cdf_bits.len() != arena.len() {
-                    return Err(Error::Config(format!(
-                        "zipfian snapshot CDF length {} does not match arena length {}",
-                        cdf_bits.len(),
-                        arena.len()
-                    )));
-                }
-                Ok(Box::new(ZipfianWorkload {
-                    arena: arena.clone(),
-                    cdf: cdf_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-                    accesses: *accesses,
-                    issued: *issued,
-                    rng: rng_from_words(rng, "zipfian")?,
-                }))
-            }
-        }
-    }
-}
+use hammertime_common::{CacheLineAddr, DetRng};
 
 /// Sequential sweep over an arena of lines.
 #[derive(Debug, Clone)]
@@ -187,19 +45,6 @@ impl StreamWorkload {
 }
 
 impl Workload for StreamWorkload {
-    fn box_clone(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn snapshot(&self) -> Option<WorkloadSnapshot> {
-        Some(WorkloadSnapshot::Stream {
-            arena: self.arena.clone(),
-            accesses: self.accesses,
-            issued: self.issued,
-            write_every: self.write_every,
-        })
-    }
-
     fn name(&self) -> &'static str {
         "stream"
     }
@@ -253,20 +98,6 @@ impl RandomWorkload {
 }
 
 impl Workload for RandomWorkload {
-    fn box_clone(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn snapshot(&self) -> Option<WorkloadSnapshot> {
-        Some(WorkloadSnapshot::Random {
-            arena: self.arena.clone(),
-            accesses: self.accesses,
-            issued: self.issued,
-            write_ratio_bits: self.write_ratio.to_bits(),
-            rng: rng_state_words(&self.rng),
-        })
-    }
-
     fn name(&self) -> &'static str {
         "random"
     }
@@ -329,20 +160,6 @@ impl ZipfianWorkload {
 }
 
 impl Workload for ZipfianWorkload {
-    fn box_clone(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn snapshot(&self) -> Option<WorkloadSnapshot> {
-        Some(WorkloadSnapshot::Zipfian {
-            arena: self.arena.clone(),
-            cdf_bits: self.cdf.iter().map(|c| c.to_bits()).collect(),
-            accesses: self.accesses,
-            issued: self.issued,
-            rng: rng_state_words(&self.rng),
-        })
-    }
-
     fn name(&self) -> &'static str {
         "zipfian"
     }
@@ -387,10 +204,6 @@ impl RowConflictWorkload {
 }
 
 impl Workload for RowConflictWorkload {
-    fn box_clone(&self) -> Option<Box<dyn Workload>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "row-conflict"
     }
@@ -477,86 +290,6 @@ mod tests {
                 "uniform expectation violated: {c}"
             );
         }
-    }
-
-    /// Runs `w` for `k` ops, snapshots, and asserts the restored copy
-    /// and the original produce identical remaining streams.
-    fn assert_snapshot_fidelity(mut w: Box<dyn Workload>, k: usize) {
-        for _ in 0..k {
-            w.next_op().expect("workload ended before snapshot point");
-        }
-        let snap = w.snapshot().expect("benign workload must snapshot");
-        // Round-trip through the JSON encoding.
-        let wire = serde_json::to_string(&snap).unwrap();
-        let back: WorkloadSnapshot = serde_json::from_str(&wire).unwrap();
-        assert_eq!(snap, back);
-        let mut restored = back.restore().unwrap();
-        assert_eq!(restored.name(), w.name());
-        loop {
-            let a = w.next_op();
-            let b = restored.next_op();
-            assert_eq!(a, b, "streams diverged after restore");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn snapshots_resume_streams_bit_exactly() {
-        let a = arena(16);
-        assert_snapshot_fidelity(Box::new(StreamWorkload::new(a.clone(), 200, 3)), 37);
-        assert_snapshot_fidelity(
-            Box::new(RandomWorkload::new(a.clone(), 200, 0.31, DetRng::new(5))),
-            37,
-        );
-        assert_snapshot_fidelity(
-            Box::new(ZipfianWorkload::new(a, 200, 0.99, DetRng::new(6))),
-            37,
-        );
-    }
-
-    #[test]
-    fn snapshot_at_zero_ops_matches_fresh_workload() {
-        assert_snapshot_fidelity(Box::new(StreamWorkload::new(arena(4), 20, 0)), 0);
-    }
-
-    #[test]
-    fn malformed_snapshots_are_structured_errors() {
-        let empty_arena = WorkloadSnapshot::Stream {
-            arena: vec![],
-            accesses: 10,
-            issued: 0,
-            write_every: 0,
-        };
-        assert!(empty_arena.restore().is_err());
-
-        let bad_rng = WorkloadSnapshot::Random {
-            arena: arena(4),
-            accesses: 10,
-            issued: 0,
-            write_ratio_bits: 0.5f64.to_bits(),
-            rng: vec![1, 2, 3],
-        };
-        assert!(bad_rng.restore().is_err());
-
-        let zero_rng = WorkloadSnapshot::Random {
-            arena: arena(4),
-            accesses: 10,
-            issued: 0,
-            write_ratio_bits: 0.5f64.to_bits(),
-            rng: vec![0, 0, 0, 0],
-        };
-        assert!(zero_rng.restore().is_err());
-
-        let bad_cdf = WorkloadSnapshot::Zipfian {
-            arena: arena(4),
-            cdf_bits: vec![0; 3],
-            accesses: 10,
-            issued: 0,
-            rng: vec![1, 2, 3, 4],
-        };
-        assert!(bad_cdf.restore().is_err());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //!   and DMA-based hammering (paper §1–3).
 //! - [`benign`]: stream/random/zipfian/row-conflict production traffic
 //!   for overhead measurement.
-//! - [`trace`]: workload record/replay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,11 +14,7 @@
 pub mod attack;
 pub mod benign;
 pub mod ops;
-pub mod trace;
 
 pub use attack::{DmaHammer, FuzzedHammer, HammerPattern};
-pub use benign::{
-    RandomWorkload, RowConflictWorkload, StreamWorkload, WorkloadSnapshot, ZipfianWorkload,
-};
-pub use ops::{AccessOp, Workload};
-pub use trace::{Trace, TraceReplayer};
+pub use benign::{RandomWorkload, RowConflictWorkload, StreamWorkload, ZipfianWorkload};
+pub use ops::{AccessOp, Workload, WorkloadSnapshot};

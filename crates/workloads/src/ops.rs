@@ -38,8 +38,8 @@ impl AccessOp {
 /// `Send` is a supertrait so a boxed workload — and therefore a
 /// detached tenant carrying one — can cross threads: the fleet layer
 /// migrates tenants between machines owned by different worker
-/// threads. Every generator here holds only owned data (or shared
-/// references to `Sync` traces), so the bound costs nothing.
+/// threads. Every generator here holds only owned data, so the bound
+/// costs nothing.
 pub trait Workload: Send {
     /// Display name for reports.
     fn name(&self) -> &'static str;
@@ -53,23 +53,25 @@ pub trait Workload: Send {
     /// Produces the next operation, or `None` when finished.
     fn next_op(&mut self) -> Option<AccessOp>;
 
-    /// A boxed deep copy of this workload mid-stream, for machine
-    /// checkpointing. `None` (the default) marks the workload as
-    /// non-checkpointable — e.g. replayers borrowing external state —
-    /// and makes `Machine::checkpoint` fail rather than silently fork
-    /// a shared stream.
+    /// Unused: nothing in the simulator copies a workload, and no
+    /// workload here overrides this. It stays only because the
+    /// benchmark harness's timing decorator (`perfbench`) overrides
+    /// it; it goes with the next change to that harness.
     fn box_clone(&self) -> Option<Box<dyn Workload>> {
         None
     }
 
-    /// A serializable mid-stream snapshot, for moving a tenant's
-    /// remaining stream out of the process (in-process migration moves
-    /// the boxed workload itself). `None` (the default) marks the
-    /// workload as not serializable.
-    fn snapshot(&self) -> Option<crate::benign::WorkloadSnapshot> {
+    /// Unused, like [`Workload::box_clone`], and kept for the same
+    /// reason: the benchmark harness's timing decorator overrides it.
+    fn snapshot(&self) -> Option<WorkloadSnapshot> {
         None
     }
 }
+
+/// The return type of [`Workload::snapshot`]. It has no values: no
+/// workload can be snapshotted, and the type goes with the method.
+#[derive(Debug)]
+pub enum WorkloadSnapshot {}
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,7 @@
 
 use hammertime_common::{CacheLineAddr, DetRng};
 use hammertime_workloads::{
-    AccessOp, DmaHammer, HammerPattern, RandomWorkload, StreamWorkload, Trace, Workload,
-    ZipfianWorkload,
+    AccessOp, DmaHammer, HammerPattern, RandomWorkload, StreamWorkload, Workload, ZipfianWorkload,
 };
 use proptest::prelude::*;
 
@@ -75,38 +74,6 @@ proptest! {
         // Rank 0 must clearly dominate rank 8+.
         prop_assert!(counts[0] > counts[8] * 2, "{counts:?}");
         prop_assert!(counts[0] > counts[15].max(1) * 2, "{counts:?}");
-    }
-
-    /// Trace record → replay is identity for any generator.
-    #[test]
-    fn trace_identity(accesses in 1u64..200, seed in any::<u64>()) {
-        let arena: Vec<CacheLineAddr> = (0..16).map(CacheLineAddr).collect();
-        let mut w = RandomWorkload::new(arena, accesses, 0.2, DetRng::new(seed));
-        let trace = Trace::record(&mut w, usize::MAX);
-        let mut replay = trace.replay();
-        let replayed = drain(&mut replay);
-        prop_assert_eq!(replayed, trace.ops.clone());
-        // Serde round trip too.
-        let json = serde_json::to_string(&trace).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, trace);
-    }
-
-    /// Every recorded trace carries the shared version header, keeps
-    /// it (and the truncation flag) through a serde round trip, and
-    /// reports truncation exactly when the cap cut the generator off.
-    #[test]
-    fn trace_header_and_truncation(accesses in 1u64..100, cap in 0usize..250) {
-        let mut w = HammerPattern::single_sided(CacheLineAddr(7), accesses);
-        let trace = Trace::record(&mut w, cap);
-        trace.validate().unwrap();
-        let total_ops = (accesses * 2) as usize; // flush+read per access
-        prop_assert_eq!(trace.len(), total_ops.min(cap));
-        prop_assert_eq!(trace.truncated, cap < total_ops);
-        let json = serde_json::to_string(&trace).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        back.validate().unwrap();
-        prop_assert_eq!(back, trace);
     }
 
     /// Paced patterns deliver the full aggressor access budget (decoys

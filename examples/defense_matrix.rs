@@ -9,7 +9,7 @@
 //! cargo run --release --example defense_matrix -- --full
 //! ```
 
-use hammertime::experiments;
+use hammertime::experiments::{run_all_with, RunOptions};
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -18,10 +18,11 @@ fn main() {
         "== defense matrix ({} mode) ==\n",
         if quick { "quick" } else { "full" }
     );
-    let t1 = experiments::t1_defense_matrix(quick).expect("T1 runs");
-    println!("{t1}");
-    let e9 = experiments::e9_overhead(quick).expect("E9 runs");
-    println!("{e9}");
+    let report = run_all_with(&RunOptions::new(quick).filter(["T1", "E9"])).expect("T1 and E9 run");
+    assert!(!report.has_failures(), "T1 and E9 cells must all complete");
+    for table in &report.tables {
+        println!("{table}");
+    }
     println!(
         "Reading guide: the three paper proposals (subarray-isolation,\n\
          aggressor-remap / line-locking, victim-refresh/instr+refn) each zero\n\

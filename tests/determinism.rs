@@ -3,6 +3,7 @@
 //! experiment tables. Reviewers rerun our numbers; they must get the
 //! same ones.
 
+use hammertime::experiments::RunOptions;
 use hammertime::machine::{Machine, MachineConfig};
 use hammertime::scenario::{BenignKind, CloudScenario};
 use hammertime::taxonomy::DefenseKind;
@@ -53,9 +54,14 @@ fn flip_event_streams_are_identical() {
 
 #[test]
 fn experiment_tables_are_reproducible() {
-    let t1 = hammertime::experiments::e3_dma_blindspot(true).unwrap();
-    let t2 = hammertime::experiments::e3_dma_blindspot(true).unwrap();
-    assert_eq!(t1.rows, t2.rows);
+    let run = || {
+        let opts = RunOptions::new(true).filter(["E3"]);
+        let report = hammertime::experiments::run_all_with(&opts).unwrap();
+        assert!(!report.has_failures(), "E3 cells failed");
+        report.tables
+    };
+    let (t1, t2) = (run(), run());
+    assert_eq!(t1[0].rows, t2[0].rows);
 }
 
 #[test]
