@@ -10,7 +10,6 @@
 //! hammertime-cli experiments [--all] [--full] [--jobs N] [--filter E1,E2]
 //!                            [--faults PLAN.json] [--step-budget N] [--strict]
 //! hammertime-cli fleet run --machines 1000 --tenants 2 --jobs 8   # population table
-//! hammertime-cli generations                      # the E1 worsening sweep
 //! hammertime-cli trace record --out run.trace [experiments flags]
 //! hammertime-cli trace replay run.trace           # re-drive DRAM, verify
 //! hammertime-cli trace diff a.trace b.trace       # first divergence + deltas
@@ -723,18 +722,6 @@ fn cmd_fleet(args: &[String]) -> Result<()> {
     }
 }
 
-fn cmd_generations() -> Result<()> {
-    let report = experiments::run_all_with(&RunOptions::new(false).filter(["E1"]))?;
-    for t in &report.tables {
-        println!("{t}");
-    }
-    let failed = report.failures().count();
-    if failed > 0 {
-        return Err(Error::Fault(format!("{failed} cell(s) failed")));
-    }
-    Ok(())
-}
-
 /// Pulls a `--out PATH` pair out of `args`, returning the path and the
 /// remaining arguments (which `trace record` feeds to the shared
 /// `experiments` parser).
@@ -942,7 +929,6 @@ fn usage() -> ! {
                              [--step-budget N] [--json PATH]\n\
                              [--trace-machine ID --trace-out PATH] [--strict]\n\
                              (exit codes: 0 ok, 1 error, 2 usage)\n\
-           hammertime-cli generations\n\
            hammertime-cli trace record --out PATH [experiments flags]\n\
            hammertime-cli trace replay PATH\n\
            hammertime-cli trace diff A B\n\
@@ -963,7 +949,6 @@ fn main() {
         "attack" => cmd_attack(&args[1..]),
         "experiments" => cmd_experiments(&args[1..]),
         "fleet" => cmd_fleet(&args[1..]),
-        "generations" => cmd_generations(),
         "trace" => cmd_trace(&args[1..]),
         _ => usage(),
     };

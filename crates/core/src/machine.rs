@@ -71,15 +71,10 @@ pub struct MachineConfig {
     /// The blast radius the *software* assumes (its belief; may lag
     /// the true radius — E5 sweeps this).
     pub assumed_radius: u32,
-    /// ACT-counter overflow threshold for interrupt-driven defenses
-    /// (0 = auto: MAC / 8).
-    pub act_threshold: u64,
     /// LLC hit service time, cycles.
     pub llc_hit_cycles: u64,
     /// clflush cost, cycles.
     pub flush_cycles: u64,
-    /// Per-op think time after completion, cycles.
-    pub think_cycles: u64,
     /// Scheduler quantum: how often completions/interrupts are
     /// serviced, cycles.
     pub quantum: u64,
@@ -129,10 +124,8 @@ impl MachineConfig {
             defense,
             seed: 42,
             assumed_radius: 2,
-            act_threshold: 0,
             llc_hit_cycles: 4,
             flush_cycles: 2,
-            think_cycles: 0,
             quantum: 200,
             refresh_enabled: true,
             force_act_counters: false,
@@ -158,10 +151,8 @@ impl MachineConfig {
             defense,
             seed: 42,
             assumed_radius: profile.blast_radius,
-            act_threshold: 0,
             llc_hit_cycles: 40,
             flush_cycles: 8,
-            think_cycles: 0,
             quantum: 2_000,
             refresh_enabled: true,
             force_act_counters: false,
@@ -170,14 +161,6 @@ impl MachineConfig {
             page_policy: hammertime_memctrl::controller::PagePolicy::Open,
             faults: None,
             tracer: None,
-        }
-    }
-
-    fn effective_act_threshold(&self) -> u64 {
-        if self.act_threshold > 0 {
-            self.act_threshold
-        } else {
-            (self.disturbance.mac / 8).max(1)
         }
     }
 }
@@ -418,7 +401,8 @@ impl Machine {
             _ => cfg.trr,
         };
         let act_counters = if cfg.defense.needs_precise_interrupts() || cfg.force_act_counters {
-            let mut c = ActCounterConfig::precise(cfg.effective_act_threshold());
+            // ACT-interrupt threshold MAC / 8 (EXPERIMENTS.md parameters).
+            let mut c = ActCounterConfig::precise((cfg.disturbance.mac / 8).max(1));
             if !cfg.randomize_counter_resets {
                 c.randomize_reset_window = 0;
             }
@@ -948,7 +932,7 @@ impl Machine {
         for c in self.mc.drain_completions() {
             if let Some(idx) = self.tenants.iter().position(|t| t.waiting_on == Some(c.id)) {
                 self.tenants[idx].waiting_on = None;
-                self.tenants[idx].ready_at = c.done + self.cfg.think_cycles;
+                self.tenants[idx].ready_at = c.done;
                 self.tenants[idx].ops_done += 1;
                 if matches!(c.kind, RequestKind::Read) {
                     if let Some(line) = self.tenants[idx].waiting_line.take() {
@@ -1464,13 +1448,10 @@ impl Machine {
         if let Some(tracer) = &self.tracer {
             report.dram.register_metrics(tracer);
             report.mc.register_metrics(tracer);
-            // Wheel health counters live outside `McStats` (the
-            // reference path must produce identical stats), so they
-            // reach observability through the metrics registry only.
-            let (events, occupancy, peak) = self.mc.wheel_counters();
-            tracer.counter_set("mc.wheel.events_processed", events);
-            tracer.counter_set("mc.wheel.occupancy", occupancy);
-            tracer.counter_set("mc.wheel.occupancy_peak", peak);
+            // The bank-pricing count lives outside `McStats` (the
+            // reference path must produce identical stats), so it
+            // reaches observability through the metrics registry only.
+            tracer.counter_set("mc.bank_pricings", self.mc.wheel_counters().0);
             report.metrics = Some(tracer.snapshot_metrics());
         }
         report

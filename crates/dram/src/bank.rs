@@ -12,12 +12,12 @@
 //!
 //! The FSM/timing state of *all* banks lives in one [`TimingSoA`]
 //! (struct-of-arrays) owned by the module: scheduler probes
-//! (`earliest_*`) and the event wheel's candidate revalidation touch
-//! one contiguous column per field instead of striding over whole
-//! per-bank structs. [`Bank`] remains the per-bank view type for what
-//! is genuinely per-bank and cold: row disturbance bookkeeping
-//! ([`VictimState`]), activation counters, and the batched-pressure
-//! log. The module pairs column `b` of the SoA with `banks[b]`.
+//! (`earliest_*`, the per-bank timing snapshot) touch one contiguous
+//! column per field instead of striding over whole per-bank structs.
+//! [`Bank`] remains the per-bank view type for what is genuinely
+//! per-bank and cold: row disturbance bookkeeping ([`VictimState`]),
+//! activation counters, and the batched-pressure log. The module
+//! pairs column `b` of the SoA with `banks[b]`.
 
 use crate::disturb::{DisturbanceProfile, PressureTable, VictimState};
 use crate::timing::TimingParams;

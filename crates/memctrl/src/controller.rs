@@ -25,7 +25,6 @@ use crate::bank_queue::{BankQueue, Entry, Op};
 use crate::mitigation::{ActAction, McMitigation, McMitigationConfig};
 use crate::request::{Completion, MemRequest, RequestKind};
 use crate::stats::McStats;
-use crate::wheel::{better, key_of, Candidate, CandidateKind, EventWheel};
 use hammertime_common::geometry::BankId;
 use hammertime_common::{
     CacheLineAddr, Cycle, DetRng, DomainId, DramCoord, Error, FaultClock, FaultKind, FaultPlan,
@@ -98,6 +97,43 @@ impl MemCtrlConfig {
     }
 }
 
+/// One schedulable command candidate.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    issue_at: Cycle,
+    /// Lower is better: 0 = refresh scheduler, 1 = CAS (row hit) and
+    /// maintenance, 2 = ACT/PRE for misses.
+    priority: u8,
+    seq: u64,
+    kind: CandidateKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum CandidateKind {
+    /// Periodic refresh for (channel, rank): precharge-all then REF.
+    RankRefresh {
+        channel: u32,
+        rank: u32,
+        need_pre: bool,
+    },
+    /// Next command for queued request at `queue` index.
+    Request { index: usize, cmd: DdrCommand },
+}
+
+/// FR-FCFS comparison: earliest issue first, then priority class, then
+/// age. Strict, so equal tuples keep the earlier-scanned candidate —
+/// the tie rule both scheduler implementations must share.
+fn better(a: &Candidate, b: &Candidate) -> bool {
+    key_of(a) < key_of(b)
+}
+
+/// The FR-FCFS ordering key of a candidate, `(issue_at, priority,
+/// seq)`. Request candidates carry unique `seq` and a priority of at
+/// least 1, so only refresh candidates (seq 0, priority 0) can tie.
+fn key_of(c: &Candidate) -> (Cycle, u8, u64) {
+    (c.issue_at, c.priority, c.seq)
+}
+
 /// Per-request progress for multi-command kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -166,19 +202,9 @@ pub struct MemCtrl {
     /// snapshot and, through this index, only the few requests that
     /// can still win ([`MemCtrl::bank_candidate`]).
     by_bank: Vec<BankQueue>,
-    /// Memoized winner of the last scheduling query. Between mutations
-    /// (submit/issue/complete/throttle) the candidate set is a pure
-    /// function of controller state, and the clock only ever parks
-    /// strictly before the cached winner's issue time — so the result
-    /// stays exact and repeated `step` calls across an idle stretch
-    /// cost O(1) without touching the wheel.
-    sched_cache: Option<Option<Candidate>>,
-    /// The calendar scheduler: per-bank candidate slots posted into a
-    /// time-ordered heap. Mutations mark only the banks they perturb
-    /// (see the dirty rules at each issue/complete site); a scheduling
-    /// query reprices dirty banks and peeks the earliest live entry
-    /// instead of rescanning every bank.
-    wheel: EventWheel,
+    /// Banks with queued work priced by the fast scheduler, over the
+    /// run ([`MemCtrl::wheel_counters`]).
+    bank_pricings: u64,
     /// Queue index of a `Refresh { auto_pre: false }` whose ACT has
     /// issued; it completes on the next step, before any other command.
     acted_refresh: Option<usize>,
@@ -273,8 +299,7 @@ impl MemCtrl {
             data_bus_free: vec![Cycle::ZERO; g.channels as usize],
             throttle: HashMap::new(),
             by_bank: vec![BankQueue::default(); g.total_banks() as usize],
-            sched_cache: None,
-            wheel: EventWheel::new(g.total_banks() as usize),
+            bank_pricings: 0,
             acted_refresh: None,
             faults: config.faults.map(|p| FaultClock::new(p, MC_FAULT_SALT)),
             delayed_interrupts: Vec::new(),
@@ -301,9 +326,8 @@ impl MemCtrl {
 
     /// Reconfigures the address-mapping scheme in place (host
     /// BIOS-style switch). Bumps the map's generation so downstream
-    /// translation caches invalidate, and reprices the whole calendar:
-    /// queued coordinates would be stale under the new map, so the
-    /// queue must be empty.
+    /// translation caches invalidate. Queued coordinates would be stale
+    /// under the new map, so the queue must be empty.
     ///
     /// # Errors
     ///
@@ -318,8 +342,6 @@ impl MemCtrl {
         }
         self.map.reconfigure(scheme)?;
         self.group_owner = vec![None; self.map.subarray_groups() as usize];
-        self.sched_cache = None;
-        self.wheel.mark_all();
         Ok(())
     }
 
@@ -396,8 +418,6 @@ impl MemCtrl {
     /// of panicking); public so hosts and tests can model an external
     /// controller failure.
     pub fn record_fault(&mut self, msg: String) {
-        self.sched_cache = None;
-        self.wheel.mark_all();
         if self.wedged.is_none() {
             if let Some(tracer) = &self.config.tracer {
                 tracer.emit(
@@ -423,10 +443,6 @@ impl MemCtrl {
 
     /// Mutable white-box access to the device's functional data path.
     pub fn dram_mut(&mut self) -> &mut DramModule {
-        // The caller may mutate device state behind the scheduler's
-        // back; drop the memoized winner and reprice every bank.
-        self.sched_cache = None;
-        self.wheel.mark_all();
         &mut self.dram
     }
 
@@ -638,9 +654,7 @@ impl MemCtrl {
         let seq = self.seq;
         self.seq += 1;
         let bank = BankId::of(&coord);
-        self.sched_cache = None;
         let flat = bank.flat(self.map.geometry());
-        self.wheel.mark_bank(flat);
         let p = Pending {
             bank,
             req,
@@ -793,28 +807,16 @@ impl MemCtrl {
         (channel * self.map.geometry().ranks + rank) as usize
     }
 
-    /// Marks every bank of a rank for repricing. Flat bank indices are
-    /// rank-contiguous ([`BankId::flat`]), so a rank is one range.
-    fn mark_rank(&mut self, channel: u32, rank: u32) {
-        let per_rank = self.map.geometry().banks_per_rank() as usize;
-        let start = self.rank_index(channel, rank) * per_rank;
-        self.wheel.mark_rank_range(start, per_rank);
-    }
-
-    /// Calendar-scheduler telemetry: `(events_processed, occupancy,
-    /// occupancy_peak)`. Events count calendar entries consumed —
-    /// repricings plus stale/invalid pops; occupancy counts posted
-    /// entries (including stale ones awaiting lazy deletion). Kept out
-    /// of [`McStats`] because the reference scheduler never touches
-    /// the wheel and the differential suites compare full stats
-    /// structs; hosts flush these into the tracer's metrics registry
-    /// at report time.
+    /// Fast-scheduler telemetry: `(bank_pricings, 0, 0)`, where
+    /// `bank_pricings` counts the banks with queued work that scheduling
+    /// queries priced. The two zeros keep the tuple's shape for
+    /// perfbench, which reads the first element. Kept out of
+    /// [`McStats`] because the reference scheduler prices requests, not
+    /// banks, and the differential suites compare full stats structs;
+    /// hosts flush the count into the tracer's metrics registry at
+    /// report time.
     pub fn wheel_counters(&self) -> (u64, u64, u64) {
-        (
-            self.wheel.events_processed,
-            self.wheel.occupancy(),
-            self.wheel.occupancy_peak,
-        )
+        (self.bank_pricings, 0, 0)
     }
 
     /// Computes the next command a pending request needs.
@@ -1009,19 +1011,13 @@ impl MemCtrl {
         self.run_until(target)
     }
 
-    /// Advances to the next posted event at or before `target` and
-    /// processes it.
+    /// Issues the earliest candidate if it falls at or before `target`.
     ///
-    /// Fast path: the winning candidate from the last query is
-    /// memoized, so repeated calls across an idle stretch (quantum
-    /// polling, the gaps between refresh slots) cost O(1) until a
-    /// command actually issues. Queries themselves go through the
-    /// calendar scheduler ([`EventWheel`]): only banks dirtied since
-    /// the last query are repriced — one timing snapshot each — and
-    /// the winner is the earliest live calendar entry, compared
-    /// against the freshly priced rank refresh timers. Byte-identical
-    /// to [`MemCtrl::step_reference`] by construction; the
-    /// differential suites in `tests/` enforce it.
+    /// Every call is one fresh scheduling query
+    /// ([`MemCtrl::compute_best`]); no scheduler state survives between
+    /// calls, so no mutation has to tell the scheduler what it changed.
+    /// Byte-identical to [`MemCtrl::step_reference`]; the differential
+    /// suites in `tests/` enforce it.
     fn run_until(&mut self, target: Cycle) -> bool {
         if self.wedged.is_some() {
             return false;
@@ -1033,15 +1029,7 @@ impl MemCtrl {
             self.complete(index, self.now);
             return true;
         }
-        let best = match self.sched_cache {
-            Some(cached) => cached,
-            None => {
-                let b = self.compute_best();
-                self.sched_cache = Some(b);
-                b
-            }
-        };
-        let Some(c) = best else {
+        let Some(c) = self.compute_best() else {
             return false;
         };
         if c.issue_at > target {
@@ -1050,18 +1038,16 @@ impl MemCtrl {
         self.issue_candidate(c)
     }
 
-    /// One scheduling query: the earliest actionable event across the
-    /// rank refresh timers and the calendar of per-bank candidates.
+    /// One scheduling query: the earliest candidate across the rank
+    /// refresh timers and every bank with queued work.
     fn compute_best(&mut self) -> Option<Candidate> {
         let g = *self.map.geometry();
         // Rank refresh timers first, in (channel, rank) order: equal
         // tuples keep the earlier scan position, exactly as in the
         // reference scan. `due.max(bus).max(now)` lower-bounds the full
         // candidate, so ranks that cannot win (`>=`: ties lose to the
-        // earlier position) skip the device probe entirely. Refresh
-        // candidates depend on every bank of their rank, so they are
-        // repriced fresh here instead of living in the calendar.
-        let mut refresh_best: Option<Candidate> = None;
+        // earlier position) skip the device probe entirely.
+        let mut best: Option<Candidate> = None;
         for ch in 0..g.channels {
             for rk in 0..g.ranks {
                 let due = self.next_ref[self.rank_index(ch, rk)];
@@ -1069,69 +1055,32 @@ impl MemCtrl {
                     continue;
                 }
                 let lb = due.max(self.cmd_bus_free[ch as usize]).max(self.now);
-                if refresh_best.as_ref().is_some_and(|b| lb >= b.issue_at) {
+                if best.as_ref().is_some_and(|b| lb >= b.issue_at) {
                     continue;
                 }
                 if let Some(c) = self.refresh_candidate(ch, rk) {
-                    if refresh_best.as_ref().is_none_or(|b| better(&c, b)) {
-                        refresh_best = Some(c);
+                    if best.as_ref().is_none_or(|b| better(&c, b)) {
+                        best = Some(c);
                     }
                 }
             }
         }
-        // Reprice every bank the last mutation dirtied and post the
-        // results to the calendar.
-        while let Some(b) = self.wheel.pop_dirty() {
-            let c = self.bank_candidate(b);
-            self.wheel.store(b, c);
-        }
-        // Pop down to the earliest live entry. An entry is live when it
-        // still matches its (clean) slot and no floor has moved past
-        // it; anything else is repriced on the spot. Once the top is
-        // live it is the bank-side minimum: deeper entries order after
-        // it, and repricing can only move them later (every mutation
-        // that could move a candidate *earlier* dirties its bank).
-        let bank_best = loop {
-            let Some((key, b)) = self.wheel.peek() else {
-                break None;
-            };
-            let slot = self.wheel.slot(b).filter(|c| key_of(c) == key);
-            let (Some(c), false) = (slot, self.wheel.is_dirty(b)) else {
-                self.wheel.pop();
-                continue;
-            };
-            let CandidateKind::Request { cmd, .. } = c.kind else {
-                unreachable!("refresh candidates are never posted to the calendar");
-            };
-            let ch = cmd.channel() as usize;
-            // Floors the cached issue time folded in when it was
-            // priced: the command bus and the clock (both monotone),
-            // and for CAS the data bus (a CAS slot was lifted so that
-            // `at + lead >= data_bus_free`; a later CAS on the channel
-            // may have pushed the bus past that again).
-            let floor = self.cmd_bus_free[ch].max(self.now);
-            let cas_lead = match cmd {
-                DdrCommand::Rd { .. } => Some(self.dram.config().timing.cl),
-                DdrCommand::Wr { .. } => Some(self.dram.config().timing.cwl),
-                _ => None,
-            };
-            let stale_floor = c.issue_at < floor
-                || cas_lead.is_some_and(|lead| c.issue_at + lead < self.data_bus_free[ch]);
-            if stale_floor {
-                self.wheel.pop();
-                let fresh = self.bank_candidate(b);
-                self.wheel.store(b, fresh);
+        // Then each bank's best request. Request tuples can never
+        // exactly tie a refresh candidate (priority 0 vs >= 1) or each
+        // other (unique seq), so the bank order cannot change the
+        // winner.
+        for b in 0..self.by_bank.len() {
+            if self.by_bank[b].first().is_none() {
                 continue;
             }
-            break Some(c);
-        };
-        // Request tuples can never exactly tie a refresh candidate
-        // (priority 0 vs >= 1), so combination order cannot change the
-        // winner.
-        match (refresh_best, bank_best) {
-            (Some(r), Some(q)) => Some(if better(&q, &r) { q } else { r }),
-            (r, q) => r.or(q),
+            self.bank_pricings += 1;
+            if let Some(c) = self.bank_candidate(b) {
+                if best.as_ref().is_none_or(|x| better(&c, x)) {
+                    best = Some(c);
+                }
+            }
         }
+        best
     }
 
     /// Prices one bank against a single timing snapshot: the bank's
@@ -1256,8 +1205,6 @@ impl MemCtrl {
     }
 
     fn issue_candidate(&mut self, c: Candidate) -> bool {
-        // Issuing mutates device, bus, clock, and mitigation state.
-        self.sched_cache = None;
         match c.kind {
             CandidateKind::RankRefresh {
                 channel,
@@ -1283,10 +1230,6 @@ impl MemCtrl {
                 };
                 self.now = c.issue_at;
                 self.cmd_bus_free[channel as usize] = c.issue_at + 1;
-                // PRE_ALL and REF settle every bank of the rank, and a
-                // REF moves the rank's deadline (the forced-refresh
-                // barrier in every bank's pricing).
-                self.mark_rank(channel, rank);
                 if !need_pre {
                     let idx = self.rank_index(channel, rank);
                     let due = self.next_ref[idx];
@@ -1348,7 +1291,6 @@ impl MemCtrl {
                         // candidate at the same time forever, spinning
                         // `advance_to`; postpone by at least one cycle.
                         self.throttle.insert((flat, row), at + d.max(1));
-                        self.wheel.mark_bank(flat);
                         return true; // decision made; retry later
                     }
                 }
@@ -1367,15 +1309,6 @@ impl MemCtrl {
         self.now = at;
         let ch = cmd.channel() as usize;
         self.cmd_bus_free[ch] = at + 1;
-        // Dirty rules: an ACT opens tRRD/tFAW windows across its whole
-        // rank; PRE/CAS/REF_NEIGHBORS perturb only their own bank. A
-        // CAS also moves the channel data bus, which other banks' CAS
-        // slots pick up through floor revalidation at the next query.
-        let issued_bank = self.queue[index].bank;
-        match cmd {
-            DdrCommand::Act { .. } => self.mark_rank(issued_bank.channel, issued_bank.rank),
-            _ => self.wheel.mark_bank(issued_bank.flat(&g)),
-        }
 
         let p = &mut self.queue[index];
         match cmd {
@@ -1496,7 +1429,6 @@ impl MemCtrl {
     }
 
     fn complete(&mut self, index: usize, done: Cycle) {
-        self.sched_cache = None;
         let g = *self.map.geometry();
         let last = self.queue.len() - 1;
         // Keep the per-bank index and the acted-refresh pointer in sync
@@ -1504,14 +1436,10 @@ impl MemCtrl {
         // `index`.
         let leaving = &self.queue[index];
         let flat = leaving.bank.flat(&g);
-        self.wheel.mark_bank(flat);
         self.by_bank[flat].remove(leaving.entry(index));
         if index != last {
-            // The moved request's queue index changes, invalidating any
-            // cached candidate that captured it.
             let moved = &self.queue[last];
             let moved_flat = moved.bank.flat(&g);
-            self.wheel.mark_bank(moved_flat);
             self.by_bank[moved_flat].reindex(moved.entry(last), index);
         }
         match self.acted_refresh {

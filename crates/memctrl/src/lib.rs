@@ -43,7 +43,6 @@ pub mod controller;
 pub mod mitigation;
 pub mod request;
 pub mod stats;
-mod wheel;
 
 pub use act_counter::{ActCounterConfig, ActInterrupt, Precision};
 pub use addrmap::{AddressMap, MappingScheme};

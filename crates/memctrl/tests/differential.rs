@@ -1,8 +1,9 @@
 //! Differential tests: the fast-path scheduler must be observationally
 //! identical to the reference linear scan.
 //!
-//! `MemCtrl::step` memoizes the scheduling scan over per-bank ready
-//! queues; `MemCtrl::step_reference` keeps the original O(queue ×
+//! `MemCtrl::step` prices every bank with queued work against one
+//! timing snapshot, walking only the requests that can still win;
+//! `MemCtrl::step_reference` keeps the original O(queue ×
 //! device-probe) loop. These tests drive both through identical
 //! request scripts and demand byte-for-byte agreement on every
 //! externally observable artifact: the completion sequence, the flip
@@ -10,7 +11,7 @@
 //! (including `sched_steps`, so the drivers take the *same number* of
 //! scheduling decisions), and the final clock.
 
-use hammertime_common::{CacheLineAddr, Cycle, DomainId, RequestSource};
+use hammertime_common::{CacheLineAddr, Cycle, DomainId, Geometry, RequestSource};
 use hammertime_dram::disturb::FlipEvent;
 use hammertime_dram::{DramConfig, DramStats, TrrConfig};
 use hammertime_memctrl::request::{Completion, MemRequest, RequestKind};
@@ -138,7 +139,27 @@ fn arb_mitigation() -> impl Strategy<Value = McMitigationConfig> {
     ]
 }
 
+/// `Geometry::small_test()` (one channel, one rank, two banks) or, with
+/// `multi_rank`, two channels of two ranks of 2×2 banks each, so that
+/// rank-scope refresh and tRRD/tFAW windows run beside per-channel
+/// command and data buses.
+fn geometry(multi_rank: bool) -> Geometry {
+    let small = Geometry::small_test();
+    if multi_rank {
+        Geometry {
+            channels: 2,
+            ranks: 2,
+            bank_groups: 2,
+            banks_per_group: 2,
+            ..small
+        }
+    } else {
+        small
+    }
+}
+
 fn make_pair(
+    geometry: Geometry,
     mitigation: McMitigationConfig,
     page_policy: PagePolicy,
     refresh_enabled: bool,
@@ -151,6 +172,7 @@ fn make_pair(
     cfg.page_policy = page_policy;
     cfg.refresh_enabled = refresh_enabled;
     let mut dram_cfg = DramConfig::test_config(mac);
+    dram_cfg.geometry = geometry;
     if trr {
         dram_cfg.trr = Some(TrrConfig::vendor_default());
     }
@@ -171,12 +193,19 @@ proptest! {
         refresh_enabled in any::<bool>(),
         trr in any::<bool>(),
         mac in prop_oneof![Just(24u64), Just(1_000_000u64)],
+        multi_rank in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let policy = if closed_page { PagePolicy::Closed } else { PagePolicy::Open };
-        let Some((fast, reference)) =
-            make_pair(mitigation, policy, refresh_enabled, trr, mac, seed)
-        else {
+        let Some((fast, reference)) = make_pair(
+            geometry(multi_rank),
+            mitigation,
+            policy,
+            refresh_enabled,
+            trr,
+            mac,
+            seed,
+        ) else {
             return Ok(());
         };
         let got = run_script(fast, &ops, true);
@@ -266,12 +295,19 @@ proptest! {
         closed_page in any::<bool>(),
         refresh_enabled in any::<bool>(),
         mac in prop_oneof![Just(24u64), Just(1_000_000u64)],
+        multi_rank in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let policy = if closed_page { PagePolicy::Closed } else { PagePolicy::Open };
-        let Some((fast, reference)) =
-            make_pair(mitigation, policy, refresh_enabled, false, mac, seed)
-        else {
+        let Some((fast, reference)) = make_pair(
+            geometry(multi_rank),
+            mitigation,
+            policy,
+            refresh_enabled,
+            false,
+            mac,
+            seed,
+        ) else {
             return Ok(());
         };
         let got = run_bursts(fast, &hot, &bursts, true);
@@ -319,13 +355,14 @@ fn observed_mc(
 }
 
 proptest! {
-    /// The wheel must stay byte-identical to the reference scan under
-    /// every observability combination: fault injection (which adds
-    /// RNG draws on the scheduling path) and event tracing (which
-    /// records the full command stream), in all four on/off combos.
-    /// Completions, flips, stats and the recorded trace must agree.
+    /// The fast scheduler must stay byte-identical to the reference
+    /// scan under every observability combination: fault injection
+    /// (which adds RNG draws on the scheduling path) and event tracing
+    /// (which records the full command stream), in all four on/off
+    /// combos. Completions, flips, stats and the recorded trace must
+    /// agree.
     #[test]
-    fn wheel_matches_reference_under_observability_combos(
+    fn fast_scheduler_matches_reference_under_observability_combos(
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), 0u64..500), 1..40),
         faults in any::<bool>(),
         traced in any::<bool>(),
@@ -355,6 +392,7 @@ fn hammer_flips_match_reference() {
         .map(|i| ((i % 2) as u8 * 5, (i % 2) as u64 * 8, 40))
         .collect();
     let (fast, reference) = make_pair(
+        Geometry::small_test(),
         McMitigationConfig::None,
         PagePolicy::Closed,
         true,
@@ -433,8 +471,8 @@ fn act_storm_under_faw_and_refresh_pressure_matches_reference_and_lints_clean() 
 }
 
 /// An idle advance must cost O(refresh slots) scheduling steps, not
-/// O(cycles): the memoized scan discovers the next refresh once and
-/// the clock jumps straight to it.
+/// O(cycles): each query finds the next refresh slot and the clock
+/// jumps straight to it.
 #[test]
 fn idle_advance_steps_are_bounded() {
     let mut mc = MemCtrl::new(
