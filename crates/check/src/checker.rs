@@ -189,12 +189,6 @@ impl InvariantChecker {
         self.counts.acts + self.counts.pres + self.counts.rds + self.counts.wrs + self.counts.refs
     }
 
-    /// ACT commands observed so far (the trace-side leg of the
-    /// ACT-conservation law).
-    pub fn acts_observed(&self) -> u64 {
-        self.counts.acts
-    }
-
     fn rank_index(&self, channel: u32, rank: u32) -> usize {
         (channel * self.geometry.ranks + rank) as usize
     }

@@ -29,23 +29,27 @@
 //! format `trace replay|lint` consume.
 //!
 //! `experiments` runs the combined core + FL registry through the
-//! parallel cell engine:
+//! parallel cell engine, which simulates each distinct run the cells
+//! declare once:
 //! `--jobs` sets the worker count (default: available parallelism),
-//! `--filter` (or bare ids) selects experiments, and per-cell progress
-//! lines go to stderr while the tables print to stdout in canonical
-//! order — byte-identical for any `--jobs` value.
+//! `--filter` (or bare ids) selects experiments, and one progress line
+//! per unit of work (a closure cell, or one shared run) goes to stderr
+//! while the tables print to stdout in canonical order — byte-identical
+//! for any `--jobs` value.
 //!
 //! `--faults PLAN.json` injects a deterministic fault plan into every
 //! machine the suite builds (chaos mode); `--step-budget N` kills any
-//! cell whose machines advance more than N simulated cycles. Failed
-//! cells render as `!!` lines under their table and the run still
-//! exits 0 — pass `--strict` to exit nonzero when any cell failed.
+//! unit of work whose machines advance more than N simulated cycles,
+//! and fails every cell that needed it. Failed cells render as `!!`
+//! lines under their table and the run still exits 0 — pass
+//! `--strict` to exit nonzero when any cell failed.
 //!
 //! `trace record` takes the same flags as `experiments` plus a
 //! required `--out PATH` (`.jsonl`/`.json` → JSONL, else binary) and
 //! records the telemetry command trace of every machine the suite
-//! builds; like the tables, the trace is byte-identical for any
-//! `--jobs`. `trace replay` rebuilds each recorded device and re-issues
+//! builds, one segment per unit of work, so a run several cells share
+//! is recorded once; like the tables, the trace is byte-identical for
+//! any `--jobs`. `trace replay` rebuilds each recorded device and re-issues
 //! its command stream, exiting nonzero if the replayed flips or final
 //! `DramStats` diverge from the recording. `attack --trace PATH`
 //! records the single attack machine the same way.
@@ -923,6 +927,8 @@ fn usage() -> ! {
                              [--accesses N] [--mac N] [--seed N] [--windows N] [--trace PATH]\n\
            hammertime-cli experiments [--all] [--full] [--jobs N] [--filter IDS] [IDS...]\n\
                              [--faults PLAN.json] [--step-budget N] [--strict]\n\
+                             (--step-budget: simulated cycles per unit of work, i.e.\n\
+                             per closure cell or per run that cells share)\n\
            hammertime-cli fleet run [--machines N] [--tenants M] [--jobs K] [--epochs E]\n\
                              [--windows W] [--seed S] [--full] [--faults PLAN.json]\n\
                              [--slates NAME,...] [--attack-triples A/H/V,...]\n\

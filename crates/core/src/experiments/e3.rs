@@ -1,9 +1,10 @@
 //! **E3** (§1/§4.2): the ANVIL DMA blind spot — PMU-based defense vs
 //! MC-counter-based defense against CPU and DMA hammers.
 
-use super::common::{accesses, run_attack, FAST_MAC};
-use super::engine::{Cell, CellCtx};
+use super::common::{RunSpec, Scenario};
+use super::engine::{Cell, CellCtx, CellRows};
 use super::Experiment;
+use crate::metrics::SimReport;
 use crate::taxonomy::DefenseKind;
 
 pub struct E3;
@@ -22,8 +23,6 @@ impl Experiment for E3 {
     }
 
     fn cells(&self, ctx: &CellCtx) -> Vec<Cell> {
-        let ctx = *ctx;
-        let n = accesses(ctx.quick);
         [
             DefenseKind::None,
             DefenseKind::Anvil { miss_threshold: 2 },
@@ -31,23 +30,28 @@ impl Experiment for E3 {
         ]
         .into_iter()
         .map(|defense| {
-            Cell::new(defense.name(), move || {
-                let cpu = run_attack(defense, FAST_MAC, |s| s.arm_double_sided(n), ctx)?;
-                let dma = run_attack(defense, FAST_MAC, |s| s.arm_dma(n), ctx)?;
-                Ok(vec![vec![
-                    defense.name().to_string(),
-                    cpu.cross_flips_against(2).to_string(),
-                    dma.cross_flips_against(2).to_string(),
-                    (cpu.overhead.refresh_ops
-                        + cpu.overhead.convoluted_refreshes
-                        + dma.overhead.refresh_ops
-                        + dma.overhead.convoluted_refreshes)
-                        .to_string(),
-                ]])
-            })
+            let specs = vec![
+                RunSpec::fast(defense, Scenario::DoubleSided, ctx),
+                RunSpec::fast(defense, Scenario::Dma, ctx),
+            ];
+            Cell::runs(defense.name(), specs, row)
         })
         .collect()
     }
+}
+
+fn row(specs: &[RunSpec], r: &[&SimReport]) -> CellRows {
+    let (cpu, dma) = (r[0], r[1]);
+    vec![vec![
+        specs[0].defense.name().to_string(),
+        cpu.cross_flips_against(2).to_string(),
+        dma.cross_flips_against(2).to_string(),
+        (cpu.overhead.refresh_ops
+            + cpu.overhead.convoluted_refreshes
+            + dma.overhead.refresh_ops
+            + dma.overhead.convoluted_refreshes)
+            .to_string(),
+    ]]
 }
 
 #[cfg(test)]

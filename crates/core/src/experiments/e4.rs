@@ -2,10 +2,11 @@
 //! locking under a straight hammer, and counter-pacing evasion vs the
 //! randomized-reset countermeasure.
 
-use super::common::{accesses, run_attack, FAST_MAC};
-use super::engine::{Cell, CellCtx};
+use super::common::{accesses, RunSpec, Scenario, FAST_MAC};
+use super::engine::{Cell, CellCtx, CellRows};
 use super::Experiment;
 use crate::machine::MachineConfig;
+use crate::metrics::SimReport;
 use crate::scenario::CloudScenario;
 use crate::taxonomy::DefenseKind;
 
@@ -37,18 +38,10 @@ impl Experiment for E4 {
         let mut cells = Vec::new();
         // Straight hammers vs both defenses.
         for defense in [DefenseKind::AggressorRemap, DefenseKind::LineLocking] {
-            cells.push(Cell::new(
+            cells.push(Cell::runs(
                 format!("{} vs double-sided", defense.name()),
-                move || {
-                    let r = run_attack(defense, FAST_MAC, |s| s.arm_double_sided(n), ctx)?;
-                    Ok(vec![vec![
-                        format!("{} vs double-sided", defense.name()),
-                        r.cross_flips_against(2).to_string(),
-                        r.overhead.pages_remapped.to_string(),
-                        r.overhead.lines_locked.to_string(),
-                        r.overhead.interrupts.to_string(),
-                    ]])
-                },
+                vec![RunSpec::fast(defense, Scenario::DoubleSided, &ctx)],
+                straight_row,
             ));
         }
         // Evasion: paced attack against deterministic vs randomized
@@ -107,4 +100,15 @@ impl Experiment for E4 {
         }
         cells
     }
+}
+
+fn straight_row(specs: &[RunSpec], r: &[&SimReport]) -> CellRows {
+    let r = r[0];
+    vec![vec![
+        format!("{} vs double-sided", specs[0].defense.name()),
+        r.cross_flips_against(2).to_string(),
+        r.overhead.pages_remapped.to_string(),
+        r.overhead.lines_locked.to_string(),
+        r.overhead.interrupts.to_string(),
+    ]]
 }

@@ -4,7 +4,8 @@
 //! module *is* that evaluation, per the experiment index in DESIGN.md.
 //! Each experiment lives in its own module (`t1` … `e11`), implements
 //! [`Experiment`], and declares its sweep as independent scenario
-//! [`Cell`]s; the [`engine`] runs cells on a worker pool and reduces
+//! [`Cell`]s, either closures or lists of [`RunSpec`]s; the [`engine`]
+//! runs closure cells and distinct specs on a worker pool and reduces
 //! them deterministically, so `--jobs 8` output is byte-identical to
 //! serial output.
 //!
@@ -34,11 +35,11 @@ mod f2;
 mod f3;
 mod t1;
 
-pub use common::FAST_MAC;
+pub use common::{RunSpec, Scenario, FAST_MAC};
 pub use engine::{
     remaining_step_budget, run_budgeted, run_suite, run_suite_traced, silent, Cell, CellCtx,
-    CellFailure, CellProgress, CellRows, FailureKind, FailureProgress, RunOptions, StepBudgetScope,
-    SuiteReport,
+    CellFailure, CellProgress, CellRows, FailureKind, FailureProgress, Render, RunOptions,
+    StepBudgetScope, SuiteReport,
 };
 pub use table::ExpTable;
 
@@ -57,7 +58,9 @@ pub trait Experiment: Sync {
     fn columns(&self) -> &'static [&'static str];
 
     /// The sweep: self-contained cells the engine may run in any
-    /// order on any worker. Declaration order defines row order.
+    /// order on any worker. Declaration order defines row order. Spec
+    /// cells ([`Cell::runs`]) only declare their runs; the engine
+    /// shares equal specs across cells and experiments.
     fn cells(&self, ctx: &CellCtx) -> Vec<Cell>;
 
     /// Assembles per-cell row fragments (in declaration order) into

@@ -99,7 +99,7 @@ pub struct MachineConfig {
     /// Cycle-stamped event tracer, threaded into the DRAM device and
     /// the memory controller and used for machine-level events
     /// (ACT-interrupt servicing, page remaps). `None` — the default —
-    /// falls back to the experiment engine's ambient per-cell tracer
+    /// falls back to the experiment engine's ambient per-unit tracer
     /// (also usually `None`) and costs nothing on the simulation path.
     pub tracer: Option<Tracer>,
 }
@@ -417,8 +417,8 @@ impl Machine {
         };
 
         // An explicit tracer on the config wins; otherwise inherit the
-        // experiment engine's ambient per-cell tracer (set only while
-        // `trace record` runs a cell on this thread).
+        // experiment engine's ambient per-unit tracer (set only while
+        // `trace record` runs a unit of work on this thread).
         let tracer = cfg
             .tracer
             .clone()
@@ -810,7 +810,7 @@ impl Machine {
             self.service_defense();
             self.roll_windows();
             self.collect_flips();
-            // Charge the engine's per-cell step budget in *simulated
+            // Charge the engine's per-unit step budget in *simulated
             // cycles* (no-op outside a budgeted suite run), so a budget
             // buys the same simulated span on every run. The `.max(1)`
             // stall guard charges a wedged machine that stops

@@ -13,8 +13,10 @@ use hammertime_common::FaultPlan;
 use hammertime_dram::replay::replay_records;
 use hammertime_telemetry::{diff_traces, TraceRecord};
 
+/// Records the quick suite of the comma-separated experiment ids in
+/// `filter`.
 fn record(filter: &str, jobs: usize, faults: Option<FaultPlan>) -> Vec<TraceRecord> {
-    let mut opts = RunOptions::new(true).jobs(jobs).filter([filter]);
+    let mut opts = RunOptions::new(true).jobs(jobs).filter(filter.split(','));
     if let Some(plan) = faults {
         opts = opts.with_faults(plan);
     }
@@ -61,13 +63,25 @@ fn chaos_cell_records_and_replays_exactly() {
 }
 
 /// The recorded trace is byte-identical across worker counts — the
-/// per-cell buffers concatenate in declaration order, like the tables.
+/// per-unit buffers concatenate in declaration order, like the tables.
 #[test]
 fn trace_is_identical_across_worker_counts() {
     let j1 = record("E2", 1, None);
     let j8 = record("E2", 8, None);
     let diff = diff_traces(&j1, &j8);
     assert!(diff.is_empty(), "jobs=1 vs jobs=8 trace differs:\n{diff}");
+}
+
+/// A run that T1 and E9 both declare is recorded once, where T1 puts
+/// it: the trace of the pair is identical at any worker count, and it
+/// replays.
+#[test]
+fn shared_runs_trace_is_identical_across_worker_counts_and_replays() {
+    let j1 = record("T1,E9", 1, None);
+    let j8 = record("T1,E9", 8, None);
+    let diff = diff_traces(&j1, &j8);
+    assert!(diff.is_empty(), "jobs=1 vs jobs=8 trace differs:\n{diff}");
+    replay_records(&j1).expect("the shared-run recording replays exactly");
 }
 
 /// Tracing is observation only: a traced run renders the exact tables
