@@ -125,6 +125,9 @@ struct CmdCounts {
     rds: u64,
     wrs: u64,
     refs: u64,
+    /// REF_NEIGHBORS commands. `DramStats` counts the rows they
+    /// refresh, not the commands, so no conservation law covers them.
+    refns: u64,
     flips: u64,
 }
 
@@ -186,7 +189,8 @@ impl InvariantChecker {
 
     /// Total commands checked so far.
     pub fn commands_checked(&self) -> u64 {
-        self.counts.acts + self.counts.pres + self.counts.rds + self.counts.wrs + self.counts.refs
+        let c = &self.counts;
+        c.acts + c.pres + c.rds + c.wrs + c.refs + c.refns
     }
 
     fn rank_index(&self, channel: u32, rank: u32) -> usize {
@@ -559,6 +563,7 @@ impl InvariantChecker {
         // refreshed victim; the victim count depends on internal
         // remapping, so the checker blocks for the guaranteed minimum.
         self.banks[b].ready_act_block = self.banks[b].ready_act_block.max(now + t.t_rc);
+        self.counts.refns += 1;
     }
 
     /// Validates the device's final counters against the commands this

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! hammertime-cli catalog                          # the defense taxonomy
-//! hammertime-cli attack --defense none            # run an attack scenario
-//! hammertime-cli attack --defense victim-refresh/instr --attack many:8
+//! hammertime-cli attack --defense none            # pfn/double/flips
+//! hammertime-cli attack --defense victim-refresh/instr --hammerer many:8
 //! hammertime-cli attack --allocator thp --hammerer paced --victim key
 //! hammertime-cli attack --list-combos               # the full triple cross product
 //! hammertime-cli experiments [--all] [--full] [--jobs N] [--filter E1,E2]
@@ -24,7 +24,7 @@
 //! population table: per-slate flip-rate and defense-overhead
 //! percentiles. Like the suite, the output is byte-identical for any
 //! `--jobs` value. `--json PATH` additionally writes every machine
-//! outcome plus the telemetry metrics snapshot; `--trace-machine ID
+//! outcome plus the exact per-slate distributions; `--trace-machine ID
 //! --trace-out PATH` records one machine's command trace in the same
 //! format `trace replay|lint` consume.
 //!
@@ -66,39 +66,12 @@
 
 use hammertime::experiments::{self, CellProgress, RunOptions};
 use hammertime::machine::MachineConfig;
-use hammertime::scenario::CloudScenario;
 use hammertime::taxonomy::DefenseKind;
+use hammertime_attack::{AttackRun, AttackSpec};
 use hammertime_common::{Error, Result};
 use hammertime_telemetry::codec::{self, CommandTrace};
 use hammertime_telemetry::{diff_traces, Event, Tracer};
 use std::path::{Path, PathBuf};
-
-/// Which attack pattern the `attack` subcommand arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AttackSpec {
-    Double,
-    Many(usize),
-    Fuzzed(usize),
-    Dma,
-}
-
-impl AttackSpec {
-    fn parse(s: &str) -> Option<AttackSpec> {
-        if s == "double" {
-            return Some(AttackSpec::Double);
-        }
-        if s == "dma" {
-            return Some(AttackSpec::Dma);
-        }
-        if let Some(n) = s.strip_prefix("many:") {
-            return n.parse().ok().map(AttackSpec::Many);
-        }
-        if let Some(n) = s.strip_prefix("fuzzed:") {
-            return n.parse().ok().map(AttackSpec::Fuzzed);
-        }
-        None
-    }
-}
 
 fn parse_defense(name: &str, mac: u64) -> Option<DefenseKind> {
     DefenseKind::catalog(mac)
@@ -127,12 +100,14 @@ fn cmd_catalog() {
     }
 }
 
+/// `attack`: runs one attack-pipeline triple (`crates/attack`) against
+/// one defense and prints the orchestrator's verdict next to the raw
+/// flip counts. The triple defaults to `pfn/double/flips`.
 fn cmd_attack(args: &[String]) -> Result<()> {
     let mut defense = DefenseKind::None;
-    let mut attack: Option<AttackSpec> = None;
-    let mut allocator: Option<String> = None;
-    let mut hammerer: Option<String> = None;
-    let mut victim: Option<String> = None;
+    let mut allocator = "pfn".to_string();
+    let mut hammerer = "double".to_string();
+    let mut victim = "flips".to_string();
     let mut accesses: u64 = 4_000;
     let mut mac: u64 = 24;
     let mut seed: u64 = 42;
@@ -142,7 +117,7 @@ fn cmd_attack(args: &[String]) -> Result<()> {
     while i < args.len() {
         let flag = args[i].as_str();
         if flag == "--list-combos" {
-            for spec in hammertime_attack::AttackSpec::all_triples() {
+            for spec in AttackSpec::all_triples() {
                 println!("{}", spec.name());
             }
             return Ok(());
@@ -162,15 +137,9 @@ fn cmd_attack(args: &[String]) -> Result<()> {
                     std::process::exit(2);
                 });
             }
-            "--attack" => {
-                attack = Some(AttackSpec::parse(&value).unwrap_or_else(|| {
-                    eprintln!("unknown attack '{value}' (double | many:N | fuzzed:N | dma)");
-                    std::process::exit(2);
-                }));
-            }
-            "--allocator" => allocator = Some(value),
-            "--hammerer" => hammerer = Some(value),
-            "--victim" => victim = Some(value),
+            "--allocator" => allocator = value,
+            "--hammerer" => hammerer = value,
+            "--victim" => victim = value,
             "--accesses" => accesses = value.parse().unwrap_or(accesses),
             "--mac" => mac = value.parse().unwrap_or(mac),
             "--seed" => seed = value.parse().unwrap_or(seed),
@@ -182,92 +151,12 @@ fn cmd_attack(args: &[String]) -> Result<()> {
         }
         i += 2;
     }
-    if allocator.is_some() || hammerer.is_some() || victim.is_some() {
-        if attack.is_some() {
-            eprintln!("--attack and --allocator/--hammerer/--victim are mutually exclusive");
-            std::process::exit(2);
-        }
-        let spec_str = format!(
-            "{}/{}/{}",
-            allocator.as_deref().unwrap_or("hugepage"),
-            hammerer.as_deref().unwrap_or("double"),
-            victim.as_deref().unwrap_or("flips"),
-        );
-        let spec = hammertime_attack::AttackSpec::parse(&spec_str)?;
-        return run_attack_pipeline(spec, defense, mac, seed, accesses, windows, trace_out);
-    }
-    let attack = attack.unwrap_or(AttackSpec::Double);
+    let spec = AttackSpec::parse(&format!("{allocator}/{hammerer}/{victim}"))?;
     let mut cfg = MachineConfig::fast(defense, mac);
     cfg.seed = seed;
     let tracer = trace_out.as_ref().map(|_| Tracer::buffer());
     cfg.tracer = tracer.clone();
-    let mut s = CloudScenario::build_sized(
-        cfg,
-        if matches!(attack, AttackSpec::Double | AttackSpec::Dma) {
-            4
-        } else {
-            16
-        },
-    )?;
-    let targeting = match attack {
-        AttackSpec::Double => s.arm_double_sided(accesses)?,
-        AttackSpec::Many(n) => s.arm_many_sided(n, accesses)?,
-        AttackSpec::Fuzzed(n) => s.arm_fuzzed(n, accesses)?,
-        AttackSpec::Dma => s.arm_dma(accesses)?,
-    };
-    s.victim_reads(accesses / 10 + 1)?;
-    s.run_windows(windows);
-    let r = s.report();
-    println!("defense:            {}", r.defense);
-    println!("attack:             {attack:?} ({accesses} accesses, targeting {targeting:?})");
-    println!("simulated cycles:   {}", r.cycles);
-    println!("total flips:        {}", r.flips_total);
-    println!("flips vs victim:    {}", r.cross_flips_against(2));
-    println!("interrupts:         {}", r.overhead.interrupts);
-    println!("victim refreshes:   {}", r.overhead.refresh_ops);
-    println!("pages remapped:     {}", r.overhead.pages_remapped);
-    println!("lines locked:       {}", r.overhead.lines_locked);
-    println!("throttle cycles:    {}", r.overhead.throttle_cycles);
-    println!("dram energy proxy:  {:.3e}", r.energy);
-    println!(
-        "verdict:            {}",
-        if r.cross_flips_against(2) == 0 {
-            "attack DEFEATED"
-        } else {
-            "attack SUCCEEDED"
-        }
-    );
-    if let (Some(path), Some(tracer)) = (trace_out, tracer) {
-        // Drop the scenario first so the device's final-stats record
-        // lands in the buffer before we drain it.
-        drop(s);
-        let trace = CommandTrace::new(tracer.take_records());
-        codec::write_path(&path, &trace)?;
-        eprintln!(
-            "trace ({} records) written to {}",
-            trace.records.len(),
-            path.display()
-        );
-    }
-    Ok(())
-}
-
-/// Runs one modular attack-pipeline triple (`crates/attack`) and
-/// prints the orchestrator's verdict next to the raw flip counts.
-fn run_attack_pipeline(
-    spec: hammertime_attack::AttackSpec,
-    defense: DefenseKind,
-    mac: u64,
-    seed: u64,
-    accesses: u64,
-    windows: u64,
-    trace_out: Option<PathBuf>,
-) -> Result<()> {
-    let mut cfg = MachineConfig::fast(defense, mac);
-    cfg.seed = seed;
-    let tracer = trace_out.as_ref().map(|_| Tracer::buffer());
-    cfg.tracer = tracer.clone();
-    let mut run = hammertime_attack::AttackRun::new(spec, cfg);
+    let mut run = AttackRun::new(spec, cfg);
     run.accesses = accesses;
     run.windows = windows;
     // `execute` drops its machine before returning, so the device's
@@ -318,12 +207,11 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parsed `experiments` invocation: engine options plus CLI-only
-/// extras (bench-JSON path, strict exit semantics).
+/// Parsed `experiments` invocation: engine options plus the CLI-only
+/// strict exit semantics.
 #[derive(Debug)]
 struct ExperimentArgs {
     opts: RunOptions,
-    bench_json: Option<std::path::PathBuf>,
     strict: bool,
 }
 
@@ -332,7 +220,6 @@ fn parse_experiment_args(args: &[String]) -> std::result::Result<ExperimentArgs,
     let mut all = false;
     let mut jobs = default_jobs();
     let mut ids: Vec<String> = Vec::new();
-    let mut bench_json = None;
     let mut faults = None;
     let mut step_budget = None;
     let mut strict = false;
@@ -381,11 +268,6 @@ fn parse_experiment_args(args: &[String]) -> std::result::Result<ExperimentArgs,
                         .map(str::to_uppercase),
                 );
             }
-            "--bench-json" => {
-                i += 1;
-                let path = args.get(i).ok_or("--bench-json needs a file path")?;
-                bench_json = Some(std::path::PathBuf::from(path));
-            }
             id if !id.starts_with("--") => ids.push(id.to_uppercase()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -416,11 +298,7 @@ fn parse_experiment_args(args: &[String]) -> std::result::Result<ExperimentArgs,
     }
     opts.faults = faults;
     opts.step_budget = step_budget;
-    Ok(ExperimentArgs {
-        opts,
-        bench_json,
-        strict,
-    })
+    Ok(ExperimentArgs { opts, strict })
 }
 
 fn cmd_experiments(args: &[String]) -> Result<()> {
@@ -428,37 +306,16 @@ fn cmd_experiments(args: &[String]) -> Result<()> {
         eprintln!("{msg}");
         std::process::exit(2);
     });
-    let cells_done = std::sync::atomic::AtomicU64::new(0);
     let progress = |p: &CellProgress<'_>| {
-        cells_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         eprintln!(
             "  [{:>3}/{}] {}/{} ({:.2?})",
             p.completed, p.total, p.experiment, p.label, p.elapsed
         );
     };
-    let started = std::time::Instant::now();
-    let cycles_before = hammertime::metrics::sim_cycles();
     let report =
         experiments::run_suite(&hammertime_fleet::full_registry(), &parsed.opts, &progress)?;
-    let wall = started.elapsed();
-    let cycles = hammertime::metrics::sim_cycles() - cycles_before;
     for t in &report.tables {
         println!("{t}");
-    }
-    if let Some(path) = &parsed.bench_json {
-        let bench = bench_report(
-            &report.tables,
-            cells_done.load(std::sync::atomic::Ordering::Relaxed),
-            parsed.opts.jobs,
-            wall,
-            cycles,
-        );
-        let json = serde_json::to_string_pretty(&bench)
-            .map_err(|e| hammertime_common::Error::Config(format!("bench json: {e}")))?;
-        std::fs::write(path, json + "\n").map_err(|e| {
-            hammertime_common::Error::Config(format!("write {}: {e}", path.display()))
-        })?;
-        eprintln!("bench report written to {}", path.display());
     }
     let failed = report.failures().count();
     if failed > 0 {
@@ -470,39 +327,6 @@ fn cmd_experiments(args: &[String]) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// Throughput summary for `--bench-json`: how fast the suite ran, in
-/// the units the perf trajectory tracks (cells/sec, simulated
-/// cycles/sec).
-#[derive(Debug, serde::Serialize)]
-struct BenchReport {
-    experiments: Vec<String>,
-    jobs: u64,
-    cells: u64,
-    wall_seconds: f64,
-    cells_per_sec: f64,
-    sim_cycles: u64,
-    sim_cycles_per_sec: f64,
-}
-
-fn bench_report(
-    tables: &[experiments::ExpTable],
-    cells: u64,
-    jobs: usize,
-    wall: std::time::Duration,
-    cycles: u64,
-) -> BenchReport {
-    let secs = wall.as_secs_f64().max(1e-9);
-    BenchReport {
-        experiments: tables.iter().map(|t| t.id.clone()).collect(),
-        jobs: jobs as u64,
-        cells,
-        wall_seconds: secs,
-        cells_per_sec: cells as f64 / secs,
-        sim_cycles: cycles,
-        sim_cycles_per_sec: cycles as f64 / secs,
-    }
 }
 
 /// `fleet run`: the sharded multi-machine population simulation.
@@ -597,7 +421,7 @@ fn fleet_run(args: &[String]) -> Result<()> {
                     bad("--attack-triples needs a comma-separated alloc/hammer/victim list".into());
                 }
                 for t in &cfg.attack_triples {
-                    if let Err(e) = hammertime_attack::AttackSpec::parse(t) {
+                    if let Err(e) = AttackSpec::parse(t) {
                         bad(format!("--attack-triples: {e}"));
                     }
                 }
@@ -667,19 +491,15 @@ fn fleet_run(args: &[String]) -> Result<()> {
     );
 
     if let Some(path) = &json_out {
-        // Everything a dashboard wants: per-machine outcomes, the
-        // exact distributions, and the log2-histogram metrics
-        // snapshot of the same samples.
+        // Per-machine outcomes and the exact per-slate distributions.
         #[derive(serde::Serialize)]
         struct FleetJson {
             outcomes: Vec<hammertime_fleet::MachineOutcome>,
             stats: hammertime_fleet::PopulationStats,
-            metrics: hammertime_telemetry::MetricsSnapshot,
         }
         let payload = FleetJson {
             outcomes: report.outcomes.clone(),
             stats: report.stats.clone(),
-            metrics: report.stats.metrics(),
         };
         let json = serde_json::to_string_pretty(&payload)
             .map_err(|e| Error::Config(format!("fleet json: {e}")))?;
@@ -922,8 +742,8 @@ fn usage() -> ! {
          \n\
          USAGE:\n\
            hammertime-cli catalog\n\
-           hammertime-cli attack [--defense NAME] [--attack double|many:N|fuzzed:N|dma]\n\
-                             [--allocator A] [--hammerer H] [--victim V] [--list-combos]\n\
+           hammertime-cli attack [--defense NAME] [--allocator A] [--hammerer H] [--victim V]\n\
+                             [--list-combos] (default triple: pfn/double/flips)\n\
                              [--accesses N] [--mac N] [--seed N] [--windows N] [--trace PATH]\n\
            hammertime-cli experiments [--all] [--full] [--jobs N] [--filter IDS] [IDS...]\n\
                              [--faults PLAN.json] [--step-budget N] [--strict]\n\
@@ -968,16 +788,6 @@ fn main() {
 mod tests {
     use super::*;
 
-    #[test]
-    fn attack_spec_parsing() {
-        assert_eq!(AttackSpec::parse("double"), Some(AttackSpec::Double));
-        assert_eq!(AttackSpec::parse("dma"), Some(AttackSpec::Dma));
-        assert_eq!(AttackSpec::parse("many:8"), Some(AttackSpec::Many(8)));
-        assert_eq!(AttackSpec::parse("fuzzed:5"), Some(AttackSpec::Fuzzed(5)));
-        assert_eq!(AttackSpec::parse("bogus"), None);
-        assert_eq!(AttackSpec::parse("many:x"), None);
-    }
-
     fn parse(args: &[&str]) -> std::result::Result<ExperimentArgs, String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         parse_experiment_args(&args)
@@ -992,7 +802,6 @@ mod tests {
             parsed.opts.filter.as_deref(),
             Some(&["T1".to_string(), "E2".into(), "E10".into()][..])
         );
-        assert_eq!(parsed.bench_json, None);
         // --all overrides any id selection.
         assert_eq!(parse(&["--all", "E1"]).unwrap().opts.filter, None);
     }
@@ -1041,7 +850,6 @@ mod tests {
             .unwrap_err()
             .contains("--frobnicate"));
         assert!(parse(&["--filter"]).is_err());
-        assert!(parse(&["--bench-json"]).is_err());
     }
 
     #[test]
@@ -1070,15 +878,6 @@ mod tests {
         assert!(parse(&["--step-budget", "0"])
             .unwrap_err()
             .contains("positive"));
-    }
-
-    #[test]
-    fn bench_json_path_is_captured() {
-        let parsed = parse(&["--bench-json", "out/bench.json", "T1"]).unwrap();
-        assert_eq!(
-            parsed.bench_json.as_deref(),
-            Some(std::path::Path::new("out/bench.json"))
-        );
     }
 
     #[test]

@@ -104,15 +104,6 @@ pub fn run_all_with(opts: &RunOptions) -> Result<SuiteReport> {
     run_suite(&registry(), opts, &silent)
 }
 
-/// Runs the registry under the given options while recording a
-/// cycle-stamped event trace of every machine the cells build; the
-/// trace, like the tables, is byte-identical for any worker count.
-pub fn run_all_traced(
-    opts: &RunOptions,
-) -> Result<(SuiteReport, Vec<hammertime_telemetry::TraceRecord>)> {
-    run_suite_traced(&registry(), opts, &silent)
-}
-
 /// Runs one experiment through the suite runner, as every caller
 /// does, and requires that no cell failed (test helper).
 #[cfg(test)]

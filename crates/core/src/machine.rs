@@ -59,9 +59,6 @@ pub struct MachineConfig {
     pub disturbance: DisturbanceProfile,
     /// Internal row remapping in the device.
     pub remap: RemapConfig,
-    /// In-DRAM TRR independent of the defense choice (the defense
-    /// [`DefenseKind::InDramTrr`] overrides this).
-    pub trr: Option<TrrConfig>,
     /// LLC shape.
     pub cache: CacheConfig,
     /// The defense under test.
@@ -119,7 +116,6 @@ impl MachineConfig {
                 overshoot_step: 0.05,
             },
             remap: RemapConfig::identity(),
-            trr: None,
             cache: CacheConfig::small_test(),
             defense,
             seed: 42,
@@ -146,7 +142,6 @@ impl MachineConfig {
             timing: TimingParams::ddr4_2400(),
             disturbance: profile,
             remap: RemapConfig::identity(),
-            trr: None,
             cache: CacheConfig::server(),
             defense,
             seed: 42,
@@ -216,9 +211,9 @@ impl std::fmt::Debug for TenantExport {
     }
 }
 
-/// Memoized row→frames translations, keyed `(address-map generation,
-/// per-(bank, row) results)`; see the `frames_cache` field.
-type FramesMemo = (u64, std::collections::HashMap<(usize, u32), Vec<u64>>);
+/// Memoized row→frames translations, keyed on `(flat bank, row)`; see
+/// the `frames_cache` field.
+type FramesMemo = std::collections::HashMap<(usize, u32), Vec<u64>>;
 
 /// Most interrupts the machine keeps for
 /// [`Machine::drain_interrupt_log`] between drains. Nothing in a run
@@ -245,12 +240,11 @@ pub struct Machine {
     /// The first [`INTERRUPT_LOG_CAP`] interrupts serviced since the
     /// last [`Machine::drain_interrupt_log`] (observability only).
     interrupt_log: Vec<hammertime_memctrl::ActInterrupt>,
-    /// Memoized [`Machine::frames_of_row`] results, keyed on the
-    /// address map's generation: the interrupt path asks about the same
-    /// few victim rows on every overflow and would otherwise redo
-    /// O(columns) translations each time. A map reconfiguration bumps
-    /// the generation and the whole memo is discarded on next use —
-    /// stale translations must never leak across a remap.
+    /// Memoized [`Machine::frames_of_row`] results: the interrupt path
+    /// asks about the same few victim rows on every overflow and would
+    /// otherwise redo O(columns) translations each time. The address
+    /// map is fixed when the machine is built, so entries never go
+    /// stale.
     frames_cache: std::cell::RefCell<FramesMemo>,
     lockup: Option<String>,
     /// When the first [`Machine::run`] call began (`None` until then);
@@ -398,7 +392,7 @@ impl Machine {
                 radius,
                 min_count: 4,
             }),
-            _ => cfg.trr,
+            _ => None,
         };
         let act_counters = if cfg.defense.needs_precise_interrupts() || cfg.force_act_counters {
             // ACT-interrupt threshold MAC / 8 (EXPERIMENTS.md parameters).
@@ -500,7 +494,7 @@ impl Machine {
             flips: Vec::new(),
             remapped_this_window: std::collections::HashSet::new(),
             interrupt_log: Vec::new(),
-            frames_cache: std::cell::RefCell::new((0, std::collections::HashMap::new())),
+            frames_cache: std::cell::RefCell::default(),
             lockup: None,
             run_start: None,
             tracer,
@@ -527,27 +521,6 @@ impl Machine {
     /// The host's topology view (for attack/defense construction).
     pub fn topology(&self) -> Topology {
         Topology::new(self.mc.map().clone(), self.cfg.assumed_radius)
-    }
-
-    /// Reconfigures the controller's address-mapping scheme, bumping
-    /// the map generation (which invalidates the `frames_of_row` memo
-    /// on next use).
-    ///
-    /// Only legal on a cold machine: queued requests or attached
-    /// tenants hold translations under the old map, and silently
-    /// reinterpreting them would corrupt the experiment.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] if any tenant is attached or the controller
-    /// has queued work; propagates scheme construction errors.
-    pub fn set_mapping(&mut self, scheme: MappingScheme) -> Result<()> {
-        if !self.tenants.is_empty() {
-            return Err(Error::Config(
-                "cannot change the address mapping with tenants attached".into(),
-            ));
-        }
-        self.mc.set_mapping(scheme)
     }
 
     /// Registers a tenant and allocates `pages` pages, returning its
@@ -1195,21 +1168,12 @@ impl Machine {
 
     /// Every distinct page frame overlapping `(bank, row)` — the unit
     /// an isolation- or migration-based response must cover.
-    /// Memoized per address-map generation: each `(bank, row)` is
-    /// translated once, and the whole memo is discarded when the map is
-    /// reconfigured (the generation counter changes).
+    /// Memoized: each `(bank, row)` is translated once.
     pub fn frames_of_row(&self, bank: &BankId, row: u32) -> Vec<u64> {
         let g = self.cfg.geometry;
         let key = (bank.flat(&g), row);
-        let generation = self.mc.map().generation();
-        {
-            let mut cache = self.frames_cache.borrow_mut();
-            if cache.0 != generation {
-                cache.0 = generation;
-                cache.1.clear();
-            } else if let Some(frames) = cache.1.get(&key) {
-                return frames.clone();
-            }
+        if let Some(frames) = self.frames_cache.borrow().get(&key) {
+            return frames.clone();
         }
         let mut frames: Vec<u64> = (0..g.columns)
             .filter_map(|col| {
@@ -1226,7 +1190,7 @@ impl Machine {
             .collect();
         frames.sort_unstable();
         frames.dedup();
-        self.frames_cache.borrow_mut().1.insert(key, frames.clone());
+        self.frames_cache.borrow_mut().insert(key, frames.clone());
         frames
     }
 
@@ -1446,8 +1410,6 @@ impl Machine {
         }
         report.finalize_energy(&hammertime_common::energy::EnergyModel::ddr4());
         if let Some(tracer) = &self.tracer {
-            report.dram.register_metrics(tracer);
-            report.mc.register_metrics(tracer);
             // The bank-pricing count lives outside `McStats` (the
             // reference path must produce identical stats), so it
             // reaches observability through the metrics registry only.
@@ -1595,31 +1557,6 @@ mod tests {
         );
         m.run(2_000_000);
         assert_eq!(m.drain_interrupt_log().len(), INTERRUPT_LOG_CAP);
-    }
-
-    #[test]
-    fn frames_of_row_memo_invalidates_on_map_reconfigure() {
-        let mut m = Machine::new(MachineConfig::fast(DefenseKind::None, 1_000_000)).unwrap();
-        let g = m.cfg.geometry;
-        let bank = bank_from_flat(&g, 0);
-        // Warm the memo under the original mapping.
-        let before = m.frames_of_row(&bank, 3);
-        assert!(!before.is_empty());
-        m.set_mapping(MappingScheme::BankPartition).unwrap();
-        // A fresh machine built directly on the new scheme is the
-        // oracle: a stale memo entry would diverge from it.
-        let after = m.frames_of_row(&bank, 3);
-        let mut oracle_machine =
-            Machine::new(MachineConfig::fast(DefenseKind::None, 1_000_000)).unwrap();
-        oracle_machine
-            .set_mapping(MappingScheme::BankPartition)
-            .unwrap();
-        assert_eq!(after, oracle_machine.frames_of_row(&bank, 3));
-        assert_ne!(after, before, "schemes chosen to translate differently");
-        // With tenants attached the reconfigure must refuse.
-        let d = DomainId(1);
-        m.add_tenant(d, 2).unwrap();
-        assert!(m.set_mapping(MappingScheme::CacheLineInterleave).is_err());
     }
 
     #[test]

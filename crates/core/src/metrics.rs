@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// every [`crate::machine::Machine`] on every thread.
 ///
 /// [`crate::machine::Machine::run`] credits the cycles it advances;
-/// throughput harnesses (`--bench-json`, `perfbench`) read the delta
-/// around a run to report simulated cycles per wall-second.
+/// the benchmark harness (`perfbench`) reads the delta around a run
+/// to report simulated cycles per wall-second.
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
 
 /// Current process-wide simulated-cycle count (monotonic; take deltas).

@@ -527,11 +527,6 @@ impl Bank {
         std::mem::take(&mut self.flushed)
     }
 
-    /// Whether the batched-pressure log has unsettled ACTs.
-    pub fn has_pending_disturbance(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Refreshes `row` in place (REF slot coverage, REF_NEIGHBORS, or
     /// the refresh instruction's ACT): clears its disturbance pressure
     /// and aggressor counter.

@@ -10,7 +10,6 @@
 
 use hammertime::machine::MachineConfig;
 use hammertime::taxonomy::DefenseKind;
-use hammertime_cache::CacheConfig;
 use hammertime_common::{DetRng, FaultPlan, Geometry};
 use hammertime_dram::TimingParams;
 
@@ -142,7 +141,6 @@ impl MachineSpec {
     pub fn machine_config(&self) -> MachineConfig {
         let mut cfg = MachineConfig::fast(self.defense, self.gen.mac());
         cfg.geometry = self.class.geometry();
-        cfg.cache = CacheConfig::small_test();
         cfg.timing = self.gen.timing();
         cfg.seed = self.seed;
         cfg.faults = self.faults;

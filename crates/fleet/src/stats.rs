@@ -1,21 +1,13 @@
 //! Population statistics: per-slate flip-rate and defense-overhead
 //! distributions over per-machine reports.
 //!
-//! Two representations, deliberately redundant:
-//!
-//! - **Exact distributions** ([`SlateStats`]): every machine's derived
-//!   rates, kept sorted; percentiles are nearest-rank over the sorted
-//!   values, so the table is exact and byte-stable. Aggregation is a
-//!   *fold* that is permutation-invariant and mergeable (shards can
-//!   fold locally and merge) — the property suite pins both laws
-//!   against a naive reference.
-//! - **Telemetry histograms** ([`registry`]): the same samples pushed
-//!   into the `MetricsRegistry`'s log2 histograms, for dashboards and
-//!   the metrics snapshot; `HistogramSnapshot::approx_quantile` gives
-//!   power-of-two-resolution quantiles without keeping the samples.
+//! Each slate keeps every machine's derived rates, sorted
+//! ([`SlateStats`]); percentiles are nearest-rank over the sorted
+//! values, so the table is exact and byte-stable. Aggregation is a
+//! *fold* that is permutation-invariant — the property suite pins that
+//! law against a naive reference.
 
 use hammertime::experiments::ExpTable;
-use hammertime_telemetry::{MetricsRegistry, MetricsSnapshot};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -87,24 +79,6 @@ impl SlateStats {
             None => self.failed += 1,
         }
     }
-
-    /// Merges another slate's population into this one (shard-local
-    /// folds merge to the global fold; the property suite pins it).
-    pub fn merge(&mut self, other: &SlateStats) {
-        self.machines += other.machines;
-        self.attacked += other.attacked;
-        self.failed += other.failed;
-        self.migrations_in += other.migrations_in;
-        for (mine, theirs) in [
-            (&mut self.flip_rate, &other.flip_rate),
-            (&mut self.overhead, &other.overhead),
-            (&mut self.throughput, &other.throughput),
-        ] {
-            for &v in theirs {
-                insert_sorted(mine, v);
-            }
-        }
-    }
 }
 
 fn insert_sorted(v: &mut Vec<f64>, x: f64) {
@@ -147,13 +121,6 @@ impl PopulationStats {
         self.slates.entry(o.defense.clone()).or_default().push(o);
     }
 
-    /// Merges another fold into this one.
-    pub fn merge(&mut self, other: &PopulationStats) {
-        for (slate, stats) in &other.slates {
-            self.slates.entry(slate.clone()).or_default().merge(stats);
-        }
-    }
-
     /// The rendered population table: one row per slate, percentile
     /// columns for the flip-rate and defense-overhead distributions.
     pub fn table(&self, id: &str, title: &str) -> ExpTable {
@@ -163,33 +130,6 @@ impl PopulationStats {
         }
         t
     }
-
-    /// The same distributions as telemetry histograms plus fleet
-    /// counters, snapshotted for dashboards/JSON output. Samples are
-    /// scaled to integer milli-units (the registry stores `u64`).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut reg = MetricsRegistry::default();
-        for (slate, s) in &self.slates {
-            reg.counter_add(&format!("fleet.{slate}.machines"), s.machines);
-            reg.counter_add(&format!("fleet.{slate}.attacked"), s.attacked);
-            reg.counter_add(&format!("fleet.{slate}.failed"), s.failed);
-            reg.counter_add(&format!("fleet.{slate}.migrations_in"), s.migrations_in);
-            for &v in &s.flip_rate {
-                reg.observe(&format!("fleet.{slate}.flip_rate_milli"), milli(v));
-            }
-            for &v in &s.overhead {
-                reg.observe(&format!("fleet.{slate}.overhead_milli"), milli(v));
-            }
-            for &v in &s.throughput {
-                reg.observe(&format!("fleet.{slate}.throughput_milli"), milli(v));
-            }
-        }
-        reg.snapshot()
-    }
-}
-
-fn milli(v: f64) -> u64 {
-    (v * 1000.0).round().max(0.0) as u64
 }
 
 /// Column headers of the population table.
@@ -234,7 +174,7 @@ pub fn population_row(slate: &str, s: &SlateStats) -> Vec<String> {
 
 /// Naive reference fold over outcomes in the given order. The runner
 /// and the property suite both use this; the suite additionally
-/// checks chunked fold + merge equals it for every permutation.
+/// checks that every permutation of the outcomes folds to it.
 pub fn fold(outcomes: &[MachineOutcome]) -> PopulationStats {
     let mut stats = PopulationStats::default();
     for o in outcomes {
@@ -274,21 +214,6 @@ mod tests {
         for cell in &row[5..] {
             assert_eq!(cell, "-", "empty distribution must render as -");
         }
-    }
-
-    #[test]
-    fn merging_empty_slates_stays_empty() {
-        let mut a = SlateStats {
-            machines: 1,
-            failed: 1,
-            ..SlateStats::default()
-        };
-        let b = a.clone();
-        a.merge(&b);
-        assert_eq!(a.machines, 2);
-        assert_eq!(a.failed, 2);
-        assert!(a.flip_rate.is_empty());
-        assert_eq!(percentile(&a.flip_rate, 0.99), None);
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! - [`MappingScheme::CacheLineInterleave`] — production default:
 //!   consecutive cache lines spread across channels and banks for
 //!   bank-level parallelism, mixing all tenants in every bank.
-//! - [`MappingScheme::XorPermute`] — interleave plus an XOR bank
-//!   permutation (Zhang et al., MICRO'00) to spread row-conflict
-//!   streaks.
 //! - [`MappingScheme::BankPartition`] — interleaving disabled (the
 //!   BIOS option the paper deems an undesirable fix, §4.1): each page
 //!   lives in a single bank, enabling bank-aware allocation at the
@@ -42,8 +39,6 @@ use serde::{Deserialize, Serialize};
 pub enum MappingScheme {
     /// Consecutive lines interleave across channels, then banks.
     CacheLineInterleave,
-    /// Interleave plus XOR bank permutation keyed by row bits.
-    XorPermute,
     /// No interleaving: a page occupies a single bank.
     BankPartition,
     /// Subarray-isolated interleaving (the paper's primitive).
@@ -173,10 +168,6 @@ pub struct AddressMap {
     layout: Vec<(Field, u32)>,
     /// The seeded row permutation (RubixScramble only).
     rubix: Option<RubixKeys>,
-    /// Bumped by every [`AddressMap::reconfigure`]. Caches keyed on
-    /// translation results (e.g. the machine's frames-of-row memo)
-    /// compare this to detect that their entries went stale.
-    generation: u64,
 }
 
 /// Bit width of a power-of-two field count, as a typed error rather
@@ -215,9 +206,7 @@ impl AddressMap {
         let page_bits = LINES_PER_PAGE.trailing_zeros();
 
         let layout: Vec<(Field, u32)> = match scheme {
-            MappingScheme::CacheLineInterleave
-            | MappingScheme::XorPermute
-            | MappingScheme::RubixScramble { .. } => vec![
+            MappingScheme::CacheLineInterleave | MappingScheme::RubixScramble { .. } => vec![
                 (Field::Channel, ch),
                 (Field::BankGroup, bg),
                 (Field::Bank, ba),
@@ -266,33 +255,7 @@ impl AddressMap {
             geometry,
             layout,
             rubix,
-            generation: 0,
         })
-    }
-
-    /// Switches the map to a different scheme in place (host BIOS-style
-    /// reconfiguration), preserving the geometry and bumping
-    /// [`AddressMap::generation`] so translation caches invalidate.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] if the geometry cannot support `scheme`; the
-    /// map is left unchanged (and the generation unbumped) on error.
-    pub fn reconfigure(&mut self, scheme: MappingScheme) -> Result<()> {
-        let fresh = AddressMap::new(scheme, self.geometry)?;
-        self.scheme = fresh.scheme;
-        self.layout = fresh.layout;
-        self.rubix = fresh.rubix;
-        self.generation += 1;
-        Ok(())
-    }
-
-    /// Monotone configuration counter: 0 at construction, +1 per
-    /// [`AddressMap::reconfigure`]. Two maps with equal generation and
-    /// provenance translate identically, so caches of translation
-    /// results key on it.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The scheme this map implements.
@@ -303,16 +266,6 @@ impl AddressMap {
     /// The geometry this map covers.
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
-    }
-
-    fn xor_bank(&self, mut bank: u32, mut bank_group: u32, row: u32) -> (u32, u32) {
-        // Involutive permutation: XOR bank bits with the low row bits,
-        // bank-group bits with the next row bits.
-        let g = &self.geometry;
-        // Validated power-of-two at construction.
-        bank ^= row & (g.banks_per_group - 1);
-        bank_group ^= (row >> g.banks_per_group.trailing_zeros()) & (g.bank_groups - 1);
-        (bank, bank_group)
     }
 
     /// Maps a cache line to its DRAM coordinate.
@@ -348,11 +301,6 @@ impl AddressMap {
         if self.scheme == MappingScheme::SubarrayIsolated {
             row = subarray * self.geometry.rows_per_subarray + row_in_sub;
         }
-        if self.scheme == MappingScheme::XorPermute {
-            let (b, bg) = self.xor_bank(bank, bank_group, row);
-            bank = b;
-            bank_group = bg;
-        }
         if let Some(rubix) = &self.rubix {
             row = rubix.permute(row);
         }
@@ -370,13 +318,6 @@ impl AddressMap {
     /// [`AddressMap::to_coord`]).
     pub fn to_line(&self, coord: &DramCoord) -> Result<CacheLineAddr> {
         coord.validate(&self.geometry)?;
-        let (mut bank, mut bank_group) = (coord.bank, coord.bank_group);
-        if self.scheme == MappingScheme::XorPermute {
-            // XOR permutation is involutive: applying it again undoes it.
-            let (b, bg) = self.xor_bank(bank, bank_group, coord.row);
-            bank = b;
-            bank_group = bg;
-        }
         // Under Rubix the coordinate's row is the scrambled one; pack
         // the unscrambled index back into the line.
         let row = match &self.rubix {
@@ -391,8 +332,8 @@ impl AddressMap {
             let part = match field {
                 Field::Channel => coord.channel,
                 Field::Rank => coord.rank,
-                Field::BankGroup => bank_group,
-                Field::Bank => bank,
+                Field::BankGroup => coord.bank_group,
+                Field::Bank => coord.bank,
                 Field::Col => coord.col,
                 Field::Row => row,
                 Field::RowInSub => row_in_sub,
@@ -501,10 +442,9 @@ impl AddressMap {
 mod tests {
     use super::*;
 
-    fn schemes() -> [MappingScheme; 5] {
+    fn schemes() -> [MappingScheme; 4] {
         [
             MappingScheme::CacheLineInterleave,
-            MappingScheme::XorPermute,
             MappingScheme::BankPartition,
             MappingScheme::SubarrayIsolated,
             MappingScheme::RubixScramble { seed: 0xA5A5 },
@@ -605,24 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_permute_differs_from_plain_interleave_but_round_trips() {
-        let g = Geometry::medium();
-        let plain = AddressMap::new(MappingScheme::CacheLineInterleave, g).unwrap();
-        let xored = AddressMap::new(MappingScheme::XorPermute, g).unwrap();
-        let mut differs = false;
-        for idx in 0..g.total_lines() {
-            let a = plain.to_coord(CacheLineAddr(idx)).unwrap();
-            let b = xored.to_coord(CacheLineAddr(idx)).unwrap();
-            assert_eq!(a.row, b.row);
-            assert_eq!(a.col, b.col);
-            if (a.bank, a.bank_group) != (b.bank, b.bank_group) {
-                differs = true;
-            }
-        }
-        assert!(differs, "XOR permutation should move some banks");
-    }
-
-    #[test]
     fn row_stripes_are_consistent_for_interleaved_schemes() {
         let g = Geometry::medium();
         for scheme in [
@@ -705,22 +627,6 @@ mod tests {
             .collect();
         assert_ne!(rows_a, rows_b, "different seeds, different scrambles");
         assert_eq!(rows_a, rows_c, "equal seeds translate identically");
-    }
-
-    #[test]
-    fn reconfigure_to_rubix_bumps_generation_and_round_trips() {
-        let g = Geometry::medium();
-        let mut map = AddressMap::new(MappingScheme::CacheLineInterleave, g).unwrap();
-        assert_eq!(map.generation(), 0);
-        map.reconfigure(MappingScheme::RubixScramble { seed: 99 })
-            .unwrap();
-        assert_eq!(map.generation(), 1);
-        for idx in 0..g.total_lines() {
-            let line = CacheLineAddr(idx);
-            let coord = map.to_coord(line).unwrap();
-            coord.validate(&g).unwrap();
-            assert_eq!(map.to_line(&coord).unwrap(), line);
-        }
     }
 
     #[test]

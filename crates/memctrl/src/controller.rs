@@ -324,33 +324,11 @@ impl MemCtrl {
         &self.map
     }
 
-    /// Reconfigures the address-mapping scheme in place (host
-    /// BIOS-style switch). Bumps the map's generation so downstream
-    /// translation caches invalidate. Queued coordinates would be stale
-    /// under the new map, so the queue must be empty.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] if requests are still queued or the geometry
-    /// cannot support `scheme`; the map is unchanged on error.
-    pub fn set_mapping(&mut self, scheme: MappingScheme) -> Result<()> {
-        if !self.queue.is_empty() {
-            return Err(Error::Config(format!(
-                "cannot reconfigure the address map with {} queued requests",
-                self.queue.len()
-            )));
-        }
-        self.map.reconfigure(scheme)?;
-        self.group_owner = vec![None; self.map.subarray_groups() as usize];
-        Ok(())
-    }
-
-    /// Controller statistics, with the live fault-injection tally and
-    /// the mitigation engine's quota-throttle count folded in.
+    /// Controller statistics, with the live fault-injection tally
+    /// folded in.
     pub fn stats(&self) -> McStats {
         let mut s = self.stats;
         s.fault_injections = self.fault_injections();
-        s.quota_throttles = self.mitigation.quota_throttles;
         s
     }
 

@@ -1,6 +1,5 @@
 //! Memory-controller statistics.
 
-use hammertime_telemetry::Tracer;
 use serde::{Deserialize, Serialize};
 
 /// Counters the controller maintains across a run.
@@ -36,10 +35,6 @@ pub struct McStats {
     pub maintenance_ops: u64,
     /// ACTs postponed by throttling mitigation.
     pub throttle_events: u64,
-    /// ACTs postponed specifically by BreakHammer per-tenant quota
-    /// throttling (a subset of `throttle_events`). Mirrored from the
-    /// mitigation engine so both stats blocks count throttle work.
-    pub quota_throttles: u64,
     /// Requests rejected by the subarray-group domain check.
     pub domain_violations: u64,
     /// Scheduler step invocations. Bounds the scheduling work a run
@@ -76,27 +71,6 @@ impl McStats {
         } else {
             self.row_hits as f64 / total as f64
         }
-    }
-
-    /// Publishes the counters into `tracer`'s metrics registry under
-    /// `mc.*`. Purely additive: the struct (and its serde output) is
-    /// unchanged.
-    pub fn register_metrics(&self, tracer: &Tracer) {
-        tracer.counter_set("mc.reads", self.reads);
-        tracer.counter_set("mc.writes", self.writes);
-        tracer.counter_set("mc.row_hits", self.row_hits);
-        tracer.counter_set("mc.row_misses", self.row_misses);
-        tracer.counter_set("mc.row_conflicts", self.row_conflicts);
-        tracer.counter_set("mc.latency_sum", self.latency_sum);
-        tracer.counter_set("mc.refs_issued", self.refs_issued);
-        tracer.counter_set("mc.early_refs", self.early_refs);
-        tracer.counter_set("mc.refs_forced", self.refs_forced);
-        tracer.counter_set("mc.maintenance_ops", self.maintenance_ops);
-        tracer.counter_set("mc.throttle_events", self.throttle_events);
-        tracer.counter_set("mc.quota_throttles", self.quota_throttles);
-        tracer.counter_set("mc.domain_violations", self.domain_violations);
-        tracer.counter_set("mc.sched_steps", self.sched_steps);
-        tracer.counter_set("mc.fault_injections", self.fault_injections);
     }
 }
 

@@ -31,7 +31,6 @@ fn arb_geometry() -> impl Strategy<Value = Geometry> {
 fn schemes() -> impl Strategy<Value = MappingScheme> {
     prop_oneof![
         Just(MappingScheme::CacheLineInterleave),
-        Just(MappingScheme::XorPermute),
         Just(MappingScheme::BankPartition),
         Just(MappingScheme::SubarrayIsolated),
     ]

@@ -2,7 +2,7 @@
 //!
 //! The registry is a deliberately small, allocation-light store:
 //! string-keyed `u64` counters plus log2-bucketed histograms. Keys are
-//! dotted paths (`"dram.acts"`, `"mc.refresh_slack"`). Producers only
+//! dotted paths (`"mc.bank_pricings"`, `"mc.refresh_slack"`). Producers only
 //! ever touch it through a [`crate::Tracer`], so when tracing is off
 //! the registry does not even exist.
 
@@ -77,39 +77,6 @@ pub struct HistogramSnapshot {
     pub buckets: BTreeMap<u32, u64>,
 }
 
-impl HistogramSnapshot {
-    /// Approximate `q`-quantile (`0.0 ..= 1.0`) from the log2 buckets.
-    ///
-    /// Walks the buckets to the one containing the nearest-rank sample
-    /// and returns that bucket's upper bound clamped to the observed
-    /// `max` (so `approx_quantile(1.0) == max` exactly). The answer is
-    /// therefore within one power of two of the true quantile — the
-    /// resolution the histogram keeps by design. Returns `None` when
-    /// the histogram is empty or `q` is out of range.
-    pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        // Nearest rank: the smallest k with k >= q * count, at least 1.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (&bucket, &n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                // Bucket b holds values in [2^(b-1), 2^b); bucket 0
-                // holds only the value 0.
-                let upper = if bucket == 0 {
-                    0
-                } else {
-                    (1u64 << (bucket - 1)).saturating_mul(2).saturating_sub(1)
-                };
-                return Some(upper.clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-}
-
 /// String-keyed counters and histograms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
@@ -124,8 +91,8 @@ impl MetricsRegistry {
     }
 
     /// Sets counter `name` to `value`, overwriting any prior value.
-    /// Used to mirror externally-maintained counters (`DramStats`,
-    /// `McStats`) into the registry at snapshot time.
+    /// Used to publish a count kept outside the registry (the
+    /// scheduler's bank pricings) at snapshot time.
     pub fn counter_set(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
     }
@@ -189,22 +156,6 @@ mod tests {
         assert!((s.mean - 4.0).abs() < 1e-12);
         assert_eq!(s.buckets.get(&1), Some(&1)); // value 1
         assert_eq!(s.buckets.get(&3), Some(&2)); // values 4 and 7
-    }
-
-    #[test]
-    fn approx_quantile_lands_in_the_right_bucket() {
-        let mut h = Histogram::default();
-        for v in [0, 1, 2, 3, 100, 1000] {
-            h.observe(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.approx_quantile(0.0), Some(0)); // rank clamps to 1
-        assert_eq!(s.approx_quantile(1.0), Some(1000)); // clamped to max
-                                                        // p50 (rank 3) falls in bucket 2 (values 2..=3): upper bound 3.
-        assert_eq!(s.approx_quantile(0.5), Some(3));
-        // Out-of-range and empty cases.
-        assert_eq!(s.approx_quantile(1.5), None);
-        assert_eq!(HistogramSnapshot::default().approx_quantile(0.5), None);
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //! - [`RandomWorkload`] — uniform random lines (row-buffer hostile).
 //! - [`ZipfianWorkload`] — skewed hot-set access (cloud key-value
 //!   flavored); its hot rows stress false-positive-prone defenses.
-//! - [`RowConflictWorkload`] — adversarially alternates two rows per
-//!   bank (worst case for open-page policies, benign analogue of a
-//!   hammer's bank-conflict behaviour).
 
 use crate::ops::{AccessOp, Workload};
 use hammertime_common::{CacheLineAddr, DetRng};
@@ -178,50 +175,6 @@ impl Workload for ZipfianWorkload {
     }
 }
 
-/// Alternates two conflicting lines (different rows, same bank).
-///
-/// The experiment layer picks the line pair; alternation plus the
-/// per-access flush forces an ACT per access without being an attack —
-/// this is the benign worst case for row-buffer locality.
-#[derive(Debug, Clone)]
-pub struct RowConflictWorkload {
-    pair: [CacheLineAddr; 2],
-    accesses: u64,
-    issued: u64,
-    pending_read: Option<CacheLineAddr>,
-}
-
-impl RowConflictWorkload {
-    /// Alternates `a` and `b` for `accesses` flush+read pairs.
-    pub fn new(a: CacheLineAddr, b: CacheLineAddr, accesses: u64) -> RowConflictWorkload {
-        RowConflictWorkload {
-            pair: [a, b],
-            accesses,
-            issued: 0,
-            pending_read: None,
-        }
-    }
-}
-
-impl Workload for RowConflictWorkload {
-    fn name(&self) -> &'static str {
-        "row-conflict"
-    }
-
-    fn next_op(&mut self) -> Option<AccessOp> {
-        if let Some(line) = self.pending_read.take() {
-            return Some(AccessOp::Read(line));
-        }
-        if self.issued >= self.accesses {
-            return None;
-        }
-        let line = self.pair[(self.issued % 2) as usize];
-        self.issued += 1;
-        self.pending_read = Some(line);
-        Some(AccessOp::Flush(line))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,25 +243,5 @@ mod tests {
                 "uniform expectation violated: {c}"
             );
         }
-    }
-
-    #[test]
-    fn row_conflict_alternates_with_flushes() {
-        let (a, b) = (CacheLineAddr(1), CacheLineAddr(2));
-        let mut w = RowConflictWorkload::new(a, b, 4);
-        let ops = drain(&mut w);
-        assert_eq!(
-            ops,
-            vec![
-                AccessOp::Flush(a),
-                AccessOp::Read(a),
-                AccessOp::Flush(b),
-                AccessOp::Read(b),
-                AccessOp::Flush(a),
-                AccessOp::Read(a),
-                AccessOp::Flush(b),
-                AccessOp::Read(b),
-            ]
-        );
     }
 }

@@ -5,7 +5,7 @@
 //!   interface.
 //! - [`attack`]: single-/double-/many-sided hammers, pacing evasion,
 //!   and DMA-based hammering (paper §1–3).
-//! - [`benign`]: stream/random/zipfian/row-conflict production traffic
+//! - [`benign`]: stream/random/zipfian production traffic
 //!   for overhead measurement.
 
 #![forbid(unsafe_code)]
@@ -16,5 +16,5 @@ pub mod benign;
 pub mod ops;
 
 pub use attack::{DmaHammer, FuzzedHammer, HammerPattern};
-pub use benign::{RandomWorkload, RowConflictWorkload, StreamWorkload, ZipfianWorkload};
+pub use benign::{RandomWorkload, StreamWorkload, ZipfianWorkload};
 pub use ops::{AccessOp, Workload, WorkloadSnapshot};

@@ -24,10 +24,17 @@ fn main() {
         println!("{table}");
     }
     println!(
-        "Reading guide: the three paper proposals (subarray-isolation,\n\
-         aggressor-remap / line-locking, victim-refresh/instr+refn) each zero\n\
-         the attack columns; their benign cost ranges from free (isolation)\n\
-         to visible (remap). Baselines fail somewhere: 'none' everywhere,\n\
-         'anvil' on DMA, small 'trr' trackers on many-sided patterns."
+        "Reading guide: of the paper's proposals, subarray-isolation and\n\
+         victim-refresh/refn zero every attack column at both scales. The\n\
+         others leak: aggressor-remap lets flips through while it detects and\n\
+         migrates (79/79/77 quick, 10/10/0 full), line-locking leaks under DMA\n\
+         (77 quick, 31 full), and victim-refresh/instr leaks a few many-sided\n\
+         flips (4 quick; 1/19/1 full). Benign cost ranges from free\n\
+         (isolation) to visible (remap, line-locking). Baselines fail\n\
+         somewhere: 'none' everywhere; 'catt' as much as 'none', since it\n\
+         separates user and kernel, not tenants; 'trr' stops the CPU\n\
+         patterns but not DMA (10 quick, 87 full). 'anvil' stops the CPU\n\
+         hammer via PMU sampling but is blind to the DMA device (paper §1),\n\
+         exactly the gap the paper's MC-level precise ACT interrupts close."
     );
 }

@@ -122,7 +122,5 @@ proptest! {
             on.cross_flips_against(2) <= off.cross_flips_against(2),
             "victim flip exposure must not grow (seed {seed})"
         );
-        // Stats blocks agree on the throttle count.
-        prop_assert_eq!(on.overhead.quota_throttles, on.mc.quota_throttles);
     }
 }

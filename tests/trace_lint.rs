@@ -1,7 +1,7 @@
 //! Golden lint coverage: published traces are invariant-clean, and the
 //! mutation harness proves every rule class actually fires.
 //!
-//! Three claims, end to end:
+//! Four claims, end to end:
 //!
 //! 1. every command trace the quick-mode experiment suite records
 //!    passes `trace lint` with zero violations — the published tables
@@ -12,7 +12,8 @@
 //!    green;
 //! 3. recording a machine's trace changes no observable output, the
 //!    recorded stream lints clean, and its ACT count confirms the
-//!    ACT-conservation law against the device counters.
+//!    ACT-conservation law against the device counters;
+//! 4. `trace lint` checks every command `trace replay` re-issues.
 
 use hammertime::experiments::{registry, run_suite_traced, silent, RunOptions};
 use hammertime::machine::MachineConfig;
@@ -22,7 +23,7 @@ use hammertime_check::mutate::{self, Mutation};
 use hammertime_check::{lint_records, Rule};
 use hammertime_common::geometry::BankId;
 use hammertime_common::{Cycle, Geometry};
-use hammertime_dram::{DdrCommand, DramConfig, DramModule, TimingParams};
+use hammertime_dram::{replay_records, DdrCommand, DramConfig, DramModule, TimingParams};
 use hammertime_telemetry::{CmdEvent, Event, TraceRecord, Tracer};
 
 /// Every quick-mode experiment cell records a lint-clean trace.
@@ -170,8 +171,8 @@ fn storm_trace_self_test_proves_all_rule_classes() {
     assert!(report.classes_proven() >= mutate::MIN_CLASSES_PROVEN);
 }
 
-fn run_attack(tracer: Option<Tracer>) -> hammertime::metrics::SimReport {
-    let mut cfg = MachineConfig::fast(DefenseKind::None, 24);
+fn run_attack(defense: DefenseKind, tracer: Option<Tracer>) -> hammertime::metrics::SimReport {
+    let mut cfg = MachineConfig::fast(defense, 24);
     cfg.tracer = tracer;
     let mut scenario = CloudScenario::build(cfg).unwrap();
     scenario.arm_double_sided(4_000).unwrap();
@@ -185,9 +186,9 @@ fn run_attack(tracer: Option<Tracer>) -> hammertime::metrics::SimReport {
 /// accounted for by the device.
 #[test]
 fn recorded_attack_trace_is_clean_and_conserves_acts() {
-    let baseline = run_attack(None);
+    let baseline = run_attack(DefenseKind::None, None);
     let tracer = Tracer::buffer();
-    let mut traced = run_attack(Some(tracer.clone()));
+    let mut traced = run_attack(DefenseKind::None, Some(tracer.clone()));
 
     // Identical observable output: only the metrics snapshot, which
     // the tracer carries, may differ (SimReport has no handle fields,
@@ -223,4 +224,33 @@ fn recorded_attack_trace_is_clean_and_conserves_acts() {
         })
         .count() as u64;
     assert_eq!(acts, traced.dram.acts);
+}
+
+/// `trace lint` counts every command `trace replay` re-issues,
+/// REF_NEIGHBORS included: a `victim-refresh/refn` attack issues them.
+#[test]
+fn lint_and_replay_count_the_same_commands() {
+    let tracer = Tracer::buffer();
+    run_attack(DefenseKind::VictimRefreshRefNeighbors, Some(tracer.clone()));
+    let records = tracer.take_records();
+    let refns = records
+        .iter()
+        .filter(|r| {
+            matches!(
+                r.event,
+                Event::Command {
+                    cmd: CmdEvent::RefNeighbors { .. }
+                }
+            )
+        })
+        .count();
+    assert!(refns > 0, "the refn defense issued no REF_NEIGHBORS");
+    let lint = lint_records(&records);
+    assert!(
+        lint.is_clean(),
+        "recorded stream violated invariants, first: {}",
+        lint.violations[0]
+    );
+    let replay = replay_records(&records).expect("the trace replays");
+    assert_eq!(lint.commands, replay.commands);
 }
