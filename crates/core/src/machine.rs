@@ -1100,9 +1100,7 @@ impl Machine {
         for l in 0..LINES_PER_PAGE {
             let old = CacheLineAddr(frame * LINES_PER_PAGE + l);
             let new = CacheLineAddr(new_frame * LINES_PER_PAGE + l);
-            if let Ok((data, _)) = self.mc.read_data(old) {
-                let _ = self.mc.write_data(new, &data);
-            }
+            let _ = self.mc.copy_data(old, new);
             self.llc.flush(old);
             // Charge the copy: one read of the old line, one write of
             // the new line, as host traffic.

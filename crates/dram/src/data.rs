@@ -14,6 +14,8 @@ use std::collections::{BTreeSet, HashMap};
 /// Key addressing one row's backing store.
 pub type RowKey = (usize, u32);
 
+const LINE_BYTES: usize = CACHE_LINE_BYTES as usize;
+
 /// Data bits per ECC codeword (SEC-DED over 64-bit words, as on
 /// server DIMMs).
 pub const ECC_WORD_BITS: u64 = 64;
@@ -105,12 +107,18 @@ impl RowDataStore {
     /// rows (DRAM powers up to an arbitrary-but-stable pattern; zero is
     /// the conventional model).
     pub fn read_line(&self, key: RowKey, col: u32) -> Vec<u8> {
-        let off = col as usize * CACHE_LINE_BYTES as usize;
-        assert!(off + CACHE_LINE_BYTES as usize <= self.row_bytes);
-        match self.rows.get(&key) {
-            Some(row) => row[off..off + CACHE_LINE_BYTES as usize].to_vec(),
-            None => vec![0u8; CACHE_LINE_BYTES as usize],
+        self.line(key, col).to_vec()
+    }
+
+    /// [`RowDataStore::read_line`] into a stack buffer.
+    fn line(&self, key: RowKey, col: u32) -> [u8; LINE_BYTES] {
+        let off = col as usize * LINE_BYTES;
+        assert!(off + LINE_BYTES <= self.row_bytes);
+        let mut data = [0u8; LINE_BYTES];
+        if let Some(row) = self.rows.get(&key) {
+            data.copy_from_slice(&row[off..off + LINE_BYTES]);
         }
+        data
     }
 
     /// Applies a disturbance flip of `bit` in the row, XORing backing
@@ -137,43 +145,62 @@ impl RowDataStore {
         }
     }
 
-    /// Reads one cache line through a SEC-DED ECC model: single-bit
-    /// flips per 64-bit word are corrected in the returned data;
-    /// multi-bit words are returned as-is and reported uncorrectable.
-    pub fn read_line_ecc(&self, key: RowKey, col: u32) -> (Vec<u8>, EccOutcome) {
-        let mut data = self.read_line(key, col);
+    /// Reads one cache line and classifies its damage through a
+    /// SEC-DED ECC model. With `correct`, single-bit flips per 64-bit
+    /// word are corrected in the returned data; multi-bit words are
+    /// returned as-is and reported uncorrectable. Without it the raw
+    /// bytes are returned.
+    pub fn read_line_ecc(&self, key: RowKey, col: u32, correct: bool) -> (Vec<u8>, EccOutcome) {
+        let mut data = self.line(key, col);
+        let outcome = self.ecc_check(key, col, &mut data, correct);
+        (data.to_vec(), outcome)
+    }
+
+    /// Copies one cache line to another location, as a read of `from`
+    /// (raw, or SEC-DED corrected under `ecc`) followed by a write of
+    /// the bytes read to `to`, which heals the destination's poison.
+    pub fn copy_line(&mut self, from: RowKey, from_col: u32, to: RowKey, to_col: u32, ecc: bool) {
+        let mut data = self.line(from, from_col);
+        if ecc {
+            self.ecc_check(from, from_col, &mut data, true);
+        }
+        self.write_line(to, to_col, &data);
+    }
+
+    /// Classifies the poisoned bits of line `col` of `key` by 64-bit
+    /// ECC word and, with `correct`, flips each word's lone bad bit
+    /// back in `data` (the line as stored).
+    fn ecc_check(&self, key: RowKey, col: u32, data: &mut [u8], correct: bool) -> EccOutcome {
         let lo = col as u64 * CACHE_LINE_BYTES * 8;
         let hi = lo + CACHE_LINE_BYTES * 8;
-        // Group this line's poisoned bits by ECC word.
-        let mut words: HashMap<u64, Vec<u64>> = HashMap::new();
-        if let Some(bits) = self.poisoned.get(&key) {
-            for &bit in bits.range(lo..hi) {
-                let line_bit = bit - lo;
-                words
-                    .entry(line_bit / ECC_WORD_BITS)
-                    .or_default()
-                    .push(line_bit);
-            }
-        }
-        if words.is_empty() {
-            return (data, EccOutcome::Clean);
-        }
+        let Some(bits) = self.poisoned.get(&key) else {
+            return EccOutcome::Clean;
+        };
         let mut corrected = 0u32;
         let mut uncorrectable = 0u32;
-        for bits in words.values() {
-            if bits.len() == 1 {
-                // SEC: flip the bit back in the returned data.
-                let bit = bits[0];
-                data[bit as usize / 8] ^= 1 << (bit % 8);
+        // The set is sorted, so a word's poisoned bits are adjacent.
+        let mut line_bits = bits.range(lo..hi).map(|&bit| bit - lo).peekable();
+        while let Some(bit) = line_bits.next() {
+            let word = bit / ECC_WORD_BITS;
+            let mut in_word = 1;
+            while line_bits.next_if(|b| b / ECC_WORD_BITS == word).is_some() {
+                in_word += 1;
+            }
+            if in_word == 1 {
+                if correct {
+                    data[bit as usize / 8] ^= 1 << (bit % 8);
+                }
                 corrected += 1;
             } else {
                 uncorrectable += 1;
             }
         }
         if uncorrectable > 0 {
-            (data, EccOutcome::Uncorrectable(uncorrectable))
+            EccOutcome::Uncorrectable(uncorrectable)
+        } else if corrected > 0 {
+            EccOutcome::Corrected(corrected)
         } else {
-            (data, EccOutcome::Corrected(corrected))
+            EccOutcome::Clean
         }
     }
 
@@ -313,6 +340,22 @@ mod tests {
     }
 
     #[test]
+    fn copy_line_is_a_read_then_a_write() {
+        for ecc in [false, true] {
+            let mut s = store();
+            s.write_line((0, 0), 1, &line(0x00));
+            s.flip_bit((0, 0), LINE as u64 * 8 + 3); // line 1, word 0
+            s.flip_bit((1, 2), 5); // the destination line is poisoned
+            s.copy_line((0, 0), 1, (1, 2), 0, ecc);
+            let (read, _) = s.read_line_ecc((0, 0), 1, ecc);
+            assert_eq!(s.read_line((1, 2), 0), read);
+            assert_eq!(read[0], if ecc { 0x00 } else { 0x08 });
+            assert!(!s.line_is_poisoned((1, 2), 0), "the write heals it");
+            assert!(s.line_is_poisoned((0, 0), 1), "the source keeps its flip");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "bit out of range")]
     fn flip_out_of_range_panics() {
         let mut s = store();
@@ -323,7 +366,7 @@ mod tests {
     fn ecc_clean_line_reads_clean() {
         let mut s = store();
         s.write_line((0, 0), 0, &line(0x42));
-        let (data, outcome) = s.read_line_ecc((0, 0), 0);
+        let (data, outcome) = s.read_line_ecc((0, 0), 0, true);
         assert_eq!(outcome, EccOutcome::Clean);
         assert_eq!(data, line(0x42));
     }
@@ -335,7 +378,7 @@ mod tests {
         // Two flips in two *different* 64-bit words of the same line.
         s.flip_bit((0, 0), 3); // word 0
         s.flip_bit((0, 0), 64 + 7); // word 1
-        let (data, outcome) = s.read_line_ecc((0, 0), 0);
+        let (data, outcome) = s.read_line_ecc((0, 0), 0, true);
         assert_eq!(outcome, EccOutcome::Corrected(2));
         assert_eq!(data, line(0x00), "corrected data matches the original");
         // The raw read still shows the corruption.
@@ -349,7 +392,7 @@ mod tests {
         s.flip_bit((0, 0), 10); // word 0
         s.flip_bit((0, 0), 20); // word 0 again
         s.flip_bit((0, 0), 70); // word 1: single, correctable
-        let (data, outcome) = s.read_line_ecc((0, 0), 0);
+        let (data, outcome) = s.read_line_ecc((0, 0), 0, true);
         assert_eq!(outcome, EccOutcome::Uncorrectable(1));
         // Word 1's bit was still corrected; word 0 stays corrupted.
         assert_eq!(data[8], 0, "word 1 corrected");
@@ -362,7 +405,7 @@ mod tests {
         s.write_line((0, 0), 0, &line(0));
         s.write_line((0, 0), 1, &line(0));
         s.flip_bit((0, 0), 5); // line 0
-        let (_, outcome1) = s.read_line_ecc((0, 0), 1);
+        let (_, outcome1) = s.read_line_ecc((0, 0), 1, true);
         assert_eq!(outcome1, EccOutcome::Clean, "line 1 unaffected");
     }
 }

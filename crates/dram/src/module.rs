@@ -20,7 +20,7 @@
 
 use crate::bank::{Bank, Disturbance, TimingSoA};
 use crate::command::DdrCommand;
-use crate::data::{EccOutcome, RowDataStore};
+use crate::data::{EccOutcome, RowDataStore, RowKey};
 use crate::disturb::{DisturbanceProfile, FlipEvent};
 use crate::remap::{RemapConfig, RowRemap};
 use crate::stats::DramStats;
@@ -778,9 +778,8 @@ impl DramModule {
     /// The timing of the enclosing WR command is handled by
     /// [`DramModule::issue`]; this is the data path.
     pub fn write_line(&mut self, bank: &BankId, logical_row: u32, col: u32, data: &[u8]) {
-        let b = self.flat_bank(bank);
-        let internal = self.remaps[b].to_internal(logical_row);
-        self.data.write_line((b, internal), col, data);
+        let key = self.row_key(bank, logical_row);
+        self.data.write_line(key, col, data);
     }
 
     /// Functional data read of one cache line (logical coordinates).
@@ -810,23 +809,31 @@ impl DramModule {
         logical_row: u32,
         col: u32,
     ) -> (Vec<u8>, EccOutcome) {
+        let key = self.row_key(bank, logical_row);
+        self.data
+            .read_line_ecc(key, col, self.config.ecc == EccMode::SecDed)
+    }
+
+    /// Copies one cache line between logical coordinates: a
+    /// [`DramModule::read_line`] of the source (raw without ECC,
+    /// corrected under SEC-DED) followed by a
+    /// [`DramModule::write_line`] of the bytes read, which heals the
+    /// destination line's poison.
+    pub fn copy_line(&mut self, from: (&BankId, u32, u32), to: (&BankId, u32, u32)) {
+        let (from_key, to_key) = (self.row_key(from.0, from.1), self.row_key(to.0, to.1));
+        let ecc = self.config.ecc == EccMode::SecDed;
+        self.data.copy_line(from_key, from.2, to_key, to.2, ecc);
+    }
+
+    /// The data-store key of a logical row.
+    fn row_key(&self, bank: &BankId, logical_row: u32) -> RowKey {
         let b = self.flat_bank(bank);
-        let internal = self.remaps[b].to_internal(logical_row);
-        let key = (b, internal);
-        match self.config.ecc {
-            EccMode::SecDed => self.data.read_line_ecc(key, col),
-            EccMode::None => {
-                let (_, outcome) = self.data.read_line_ecc(key, col);
-                (self.data.read_line(key, col), outcome)
-            }
-        }
+        (b, self.remaps[b].to_internal(logical_row))
     }
 
     /// Returns `true` if any bit of the logical row is poisoned.
     pub fn row_is_poisoned(&self, bank: &BankId, logical_row: u32) -> bool {
-        let b = self.flat_bank(bank);
-        let internal = self.remaps[b].to_internal(logical_row);
-        self.data.row_is_poisoned((b, internal))
+        self.data.row_is_poisoned(self.row_key(bank, logical_row))
     }
 
     /// Checks retention of a logical row at `now`: if the row has gone

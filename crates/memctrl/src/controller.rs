@@ -21,7 +21,7 @@
 
 use crate::act_counter::{ActCounterBlock, ActCounterConfig, ActInterrupt};
 use crate::addrmap::{AddressMap, MappingScheme};
-use crate::bank_queue::{BankQueue, Entry, Op};
+use crate::bank_queue::{BankIndex, Entry, Op};
 use crate::mitigation::{ActAction, McMitigation, McMitigationConfig};
 use crate::request::{Completion, MemRequest, RequestKind};
 use crate::stats::McStats;
@@ -197,11 +197,12 @@ pub struct MemCtrl {
     /// Throttled (bank, row) pairs: no ACT before the stored cycle.
     throttle: HashMap<(usize, u32), Cycle>,
     /// Per-bank request index, keyed by flat bank: demand requests by
-    /// age and by `(row, op, seq)`, maintenance requests beside them.
+    /// age and as per-row read and write runs, maintenance requests
+    /// beside them.
     /// The fast scheduler prices a bank against a single timing
     /// snapshot and, through this index, only the few requests that
     /// can still win ([`MemCtrl::bank_candidate`]).
-    by_bank: Vec<BankQueue>,
+    by_bank: BankIndex,
     /// Banks with queued work priced by the fast scheduler, over the
     /// run ([`MemCtrl::wheel_counters`]).
     bank_pricings: u64,
@@ -298,7 +299,7 @@ impl MemCtrl {
             cmd_bus_free: vec![Cycle::ZERO; g.channels as usize],
             data_bus_free: vec![Cycle::ZERO; g.channels as usize],
             throttle: HashMap::new(),
-            by_bank: vec![BankQueue::default(); g.total_banks() as usize],
+            by_bank: BankIndex::new(g.total_banks() as usize),
             bank_pricings: 0,
             acted_refresh: None,
             faults: config.faults.map(|p| FaultClock::new(p, MC_FAULT_SALT)),
@@ -642,7 +643,7 @@ impl MemCtrl {
             had_miss: false,
             internal,
         };
-        self.by_bank[flat].insert(p.entry(self.queue.len()));
+        self.by_bank.insert(flat, p.entry(self.queue.len()));
         self.queue.push(p);
     }
 
@@ -685,6 +686,20 @@ impl MemCtrl {
         let coord = self.map.to_coord(line)?;
         self.dram
             .write_line(&BankId::of(&coord), coord.row, coord.col, data);
+        Ok(())
+    }
+
+    /// Functional copy of one cache line, as [`MemCtrl::read_data`] of
+    /// `from` followed by [`MemCtrl::write_data`] of the bytes read to
+    /// `to`. Neither line is queued as a request: a caller that charges
+    /// the copy's bus traffic submits those requests itself.
+    pub fn copy_data(&mut self, from: CacheLineAddr, to: CacheLineAddr) -> Result<()> {
+        let src = self.map.to_coord(from)?;
+        let dst = self.map.to_coord(to)?;
+        self.dram.copy_line(
+            (&BankId::of(&src), src.row, src.col),
+            (&BankId::of(&dst), dst.row, dst.col),
+        );
         Ok(())
     }
 
@@ -936,8 +951,7 @@ impl MemCtrl {
         // saturating workload starves REF indefinitely under FR-FCFS,
         // because a demand candidate's issue slot is always earlier
         // than a REF that must first settle every bank.
-        let due = self.next_ref[self.rank_index(p.bank.channel, p.bank.rank)];
-        if due != Cycle::MAX && timing.t_refi > 0 && at >= due + FORCED_REF_LEAD * timing.t_refi {
+        if at >= self.forced_ref_barrier(p.bank.channel, p.bank.rank) {
             return None;
         }
         Some(Candidate {
@@ -946,6 +960,20 @@ impl MemCtrl {
             seq: p.seq,
             kind: CandidateKind::Request { index, cmd },
         })
+    }
+
+    /// The first cycle at which the rank takes no request command,
+    /// because its pending REF has been postponed to the edge of the
+    /// pull-in window ([`FORCED_REF_LEAD`]); `Cycle::MAX` when no REF
+    /// is pending.
+    fn forced_ref_barrier(&self, channel: u32, rank: u32) -> Cycle {
+        let due = self.next_ref[self.rank_index(channel, rank)];
+        let t_refi = self.dram.config().timing.t_refi;
+        if due == Cycle::MAX || t_refi == 0 {
+            Cycle::MAX
+        } else {
+            due + FORCED_REF_LEAD * t_refi
+        }
     }
 
     fn refresh_candidate(&self, channel: u32, rank: u32) -> Option<Candidate> {
@@ -1047,8 +1075,8 @@ impl MemCtrl {
         // exactly tie a refresh candidate (priority 0 vs >= 1) or each
         // other (unique seq), so the bank order cannot change the
         // winner.
-        for b in 0..self.by_bank.len() {
-            if self.by_bank[b].first().is_none() {
+        for b in 0..self.by_bank.banks() {
+            if self.by_bank.bank(b).first().is_none() {
                 continue;
             }
             self.bank_pricings += 1;
@@ -1078,29 +1106,36 @@ impl MemCtrl {
     /// Maintenance requests need a command that depends on their
     /// phase, so each of them is priced.
     fn bank_candidate(&self, b: usize) -> Option<Candidate> {
-        let q = &self.by_bank[b];
+        let q = self.by_bank.bank(b);
         let bank_id = self.queue[q.first()?.index].bank;
         let ch = bank_id.channel as usize;
         let bt = self.dram.bank_timing(&bank_id);
         let base = self.cmd_bus_free[ch].max(self.now);
+        let barrier = self.forced_ref_barrier(bank_id.channel, bank_id.rank);
         let mut best = None;
         // Floor zero at priority zero: no candidate beats it, so the
         // walk prices every maintenance request.
-        self.walk_class(q.maintenance(), Cycle::ZERO, 0, &bt, &mut best);
+        self.walk_class(q.maintenance(), Cycle::ZERO, 0, barrier, &bt, &mut best);
         match bt.open_row {
             Some(row) => {
-                let timing = &self.dram.config().timing;
-                let cas = base.max(bt.rdwr);
-                for (op, lead) in [(Op::Read, timing.cl), (Op::Write, timing.cwl)] {
-                    // A CAS is lifted so that its burst starts once
-                    // the data bus is free.
-                    let floor = cas.max(Cycle(self.data_bus_free[ch].raw().saturating_sub(lead)));
-                    self.walk_class(q.to_row(row, op), floor, 1, &bt, &mut best);
+                if let Some(runs) = self.by_bank.row_runs(b, row) {
+                    let timing = &self.dram.config().timing;
+                    let cas = base.max(bt.rdwr);
+                    for (run, lead) in [(&runs.reads, timing.cl), (&runs.writes, timing.cwl)] {
+                        // A CAS is lifted so that its burst starts once
+                        // the data bus is free.
+                        let floor =
+                            cas.max(Cycle(self.data_bus_free[ch].raw().saturating_sub(lead)));
+                        self.walk_class(run, floor, 1, barrier, &bt, &mut best);
+                    }
                 }
                 let misses = q.oldest_first().filter(|e| e.row != row);
-                self.walk_class(misses, base.max(bt.pre), 2, &bt, &mut best);
+                self.walk_class(misses, base.max(bt.pre), 2, barrier, &bt, &mut best);
             }
-            None => self.walk_class(q.oldest_first(), base.max(bt.act), 2, &bt, &mut best),
+            None => {
+                let floor = base.max(bt.act);
+                self.walk_class(q.oldest_first(), floor, 2, barrier, &bt, &mut best);
+            }
         }
         best
     }
@@ -1113,14 +1148,27 @@ impl MemCtrl {
     /// it going. `None` from pricing is a request parked behind a
     /// forced refresh of its rank (the acted-refresh completion case
     /// is intercepted in `run_until` before the query).
+    ///
+    /// Two class-wide bounds skip the walk before it starts: a floor
+    /// at or past the rank's forced-refresh `barrier` prices every
+    /// entry to `None`, and a `best` that beats `(floor, priority, 0)`
+    /// beats every entry.
     fn walk_class<'a>(
         &self,
         class: impl IntoIterator<Item = &'a Entry>,
         floor: Cycle,
         priority: u8,
+        barrier: Cycle,
         bt: &BankTiming,
         best: &mut Option<Candidate>,
     ) {
+        if floor >= barrier
+            || best
+                .as_ref()
+                .is_some_and(|b| key_of(b) < (floor, priority, 0))
+        {
+            return;
+        }
         for e in class {
             if best
                 .as_ref()
@@ -1228,8 +1276,7 @@ impl MemCtrl {
                         // refresh.
                         tracer.observe("mc.refresh_slack", c.issue_at.delta(due));
                     }
-                    let t_refi = self.dram.config().timing.t_refi;
-                    if t_refi > 0 && c.issue_at >= due + FORCED_REF_LEAD * t_refi {
+                    if c.issue_at >= self.forced_ref_barrier(channel, rank) {
                         // This REF only got through because the forced-
                         // refresh barrier stopped feeding the rank. The
                         // starvation is charged to the channel's most
@@ -1240,7 +1287,7 @@ impl MemCtrl {
                             self.charge(d, 1, |t| &mut t.forced_refs);
                         }
                     }
-                    self.next_ref[idx] += t_refi;
+                    self.next_ref[idx] += self.dram.config().timing.t_refi;
                     self.stats.refs_issued += 1;
                     let _ = outcome;
                 }
@@ -1414,11 +1461,11 @@ impl MemCtrl {
         // `index`.
         let leaving = &self.queue[index];
         let flat = leaving.bank.flat(&g);
-        self.by_bank[flat].remove(leaving.entry(index));
+        self.by_bank.remove(flat, leaving.entry(index));
         if index != last {
             let moved = &self.queue[last];
             let moved_flat = moved.bank.flat(&g);
-            self.by_bank[moved_flat].reindex(moved.entry(last), index);
+            self.by_bank.reindex(moved_flat, moved.entry(last), index);
         }
         match self.acted_refresh {
             Some(i) if i == index => self.acted_refresh = None,

@@ -221,15 +221,30 @@ proptest! {
 /// follows.
 type Burst = (Vec<(u8, u64)>, Vec<(u8, u64)>, u64, u64);
 
+/// A `run_while_busy` horizon long enough to drain a burst, so that
+/// the next burst refills the rows it emptied.
+const DRAIN: u64 = 1_000_000;
+
 /// Replays `bursts` against `mc`. `hot` lists `(column, row)` pairs
-/// that pick the hot lines: a few columns of the first banks over a
-/// few rows, so a bank holds row hits, row conflicts and (under the
-/// mitigations) throttled rows at once.
-fn run_bursts(mut mc: MemCtrl, hot: &[(u64, u64)], bursts: &[Burst], fast: bool) -> Observed {
+/// that pick the hot lines: a few columns of the first banks over
+/// rows drawn below `hot_rows` (wrapped to the bank's rows), so a bank
+/// holds row hits, row conflicts and (under the mitigations) throttled
+/// rows at once.
+fn run_bursts(
+    mut mc: MemCtrl,
+    hot: &[(u64, u64)],
+    hot_rows: u64,
+    bursts: &[Burst],
+    fast: bool,
+) -> Observed {
     let g = *mc.map().geometry();
     let total_lines = g.total_lines();
-    let stripe = total_lines / u64::from(g.rows_per_bank());
-    let hot: Vec<u64> = hot.iter().map(|&(col, row)| col + row * stripe).collect();
+    let rows = u64::from(g.rows_per_bank());
+    let stripe = total_lines / rows;
+    let hot: Vec<u64> = hot
+        .iter()
+        .map(|&(col, row)| col + row % hot_rows % rows * stripe)
+        .collect();
     let mut id = 0;
     for (ops, tail, lead, horizon) in bursts {
         let hot_ops = ops
@@ -274,22 +289,27 @@ proptest! {
     /// Deep bank queues with future arrivals: the per-bank index stops
     /// pricing a command class once its oldest candidates are
     /// decided, and that early stop must never skip the winner. Bursts
-    /// of up to 127 back-to-back requests on a few hot rows (plus a
+    /// of up to 127 back-to-back requests on the hot lines (plus a
     /// scattered tail) stack hundreds deep when the horizon is short;
     /// reads, writes, refresh instructions and REF_NEIGHBORS share
     /// each bank, and every third request of some bursts arrives in
-    /// the future.
+    /// the future. Hot rows come from the first 3 rows or from 64,
+    /// which wrap over every row of the test geometries' 32-row banks,
+    /// so a bank holds few or many live rows; bursts that drain and
+    /// bursts that stop short empty rows and refill them, creating
+    /// and dropping the index's per-row runs.
     #[test]
     fn deep_queues_match_reference(
-        hot in prop::collection::vec((0u64..4, 0u64..3), 1..6),
+        hot in prop::collection::vec((0u64..4, any::<u64>()), 1..48),
+        hot_rows in prop_oneof![Just(3u64), Just(64u64)],
         bursts in prop::collection::vec(
             (
                 prop::collection::vec((any::<u8>(), any::<u64>()), 32..128),
                 prop::collection::vec((any::<u8>(), any::<u64>()), 0..16),
                 prop_oneof![Just(0u64), 1u64..300],
-                0u64..3_000,
+                prop_oneof![0u64..3_000, Just(DRAIN)],
             ),
-            1..4,
+            1..6,
         ),
         mitigation in arb_mitigation(),
         closed_page in any::<bool>(),
@@ -310,8 +330,8 @@ proptest! {
         ) else {
             return Ok(());
         };
-        let got = run_bursts(fast, &hot, &bursts, true);
-        let want = run_bursts(reference, &hot, &bursts, false);
+        let got = run_bursts(fast, &hot, hot_rows, &bursts, true);
+        let want = run_bursts(reference, &hot, hot_rows, &bursts, false);
         prop_assert_eq!(got, want);
     }
 }

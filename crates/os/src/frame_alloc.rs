@@ -67,7 +67,16 @@ pub struct FrameAllocator {
     guard_stripes: BTreeSet<u32>,
     /// Frames sacrificed as guards (capacity accounting).
     pub guard_frames: u64,
+    /// Frame → row stripe ([`NO_STRIPE`] for a frame that straddles
+    /// rows), built on the first [`FrameAllocator::alloc_isolated`].
+    /// The address map never changes, so the table never goes stale,
+    /// and machines that never migrate a page never build it.
+    stripe_of: Option<Vec<u32>>,
 }
+
+/// [`FrameAllocator`]'s stripe-table entry for a frame whose lines
+/// span more than one row: never an isolated candidate, never foreign.
+const NO_STRIPE: u32 = u32::MAX;
 
 impl FrameAllocator {
     /// Builds an allocator over the controller's address map.
@@ -117,6 +126,7 @@ impl FrameAllocator {
             stripe_owner: BTreeMap::new(),
             guard_stripes: BTreeSet::new(),
             guard_frames: 0,
+            stripe_of: None,
         };
         if let PlacementPolicy::CattPartition { radius } = policy {
             // Reserve the kernel/user guard band up front: its frames
@@ -338,22 +348,29 @@ impl FrameAllocator {
         if !self.domain_region.contains_key(&domain) {
             return Err(Error::Config(format!("{domain} not registered")));
         }
-        // Precompute foreign-owned stripes once.
-        let mut foreign_stripes = BTreeSet::new();
+        let max_stripe = self.max_stripe();
+        let map = &self.map;
+        let stripe_of = self.stripe_of.get_or_insert_with(|| {
+            (0..map.geometry().total_frames())
+                .map(|f| map.row_stripe_of_frame(f).unwrap_or(NO_STRIPE))
+                .collect()
+        });
+        // Mark the stripes that hold another domain's frames.
+        let mut foreign = vec![false; max_stripe as usize + 1];
         for (&frame, &owner) in &self.owner {
-            if owner != domain {
-                if let Ok(s) = self.map.row_stripe_of_frame(frame) {
-                    foreign_stripes.insert(s);
-                }
+            let s = stripe_of[frame as usize];
+            if owner != domain && s != NO_STRIPE {
+                foreign[s as usize] = true;
             }
         }
         let candidate = self.free.iter().copied().find(|&f| {
-            let Ok(stripe) = self.map.row_stripe_of_frame(f) else {
+            let stripe = stripe_of[f as usize];
+            if stripe == NO_STRIPE {
                 return false;
-            };
+            }
             let lo = stripe.saturating_sub(radius);
-            let hi = (stripe + radius).min(self.max_stripe());
-            foreign_stripes.range(lo..=hi).next().is_none()
+            let hi = (stripe + radius).min(max_stripe);
+            !foreign[lo as usize..=hi as usize].contains(&true)
         });
         match candidate {
             Some(f) => {
@@ -681,6 +698,88 @@ mod tests {
         let f = a.alloc_isolated(d2, 1).unwrap();
         assert_eq!(a.owner_of(f), Some(d2));
         assert!(a.alloc_isolated(d2, 1).is_err(), "now truly exhausted");
+    }
+
+    /// The isolated candidate as `alloc_isolated` chose it before the
+    /// stripe table: each call translates the stripe of every owned
+    /// frame, then of each free frame in turn.
+    fn isolated_by_translation(a: &FrameAllocator, domain: DomainId, radius: u32) -> Option<u64> {
+        let mut foreign_stripes = BTreeSet::new();
+        for (&frame, &owner) in &a.owner {
+            if owner != domain {
+                if let Ok(s) = a.map.row_stripe_of_frame(frame) {
+                    foreign_stripes.insert(s);
+                }
+            }
+        }
+        a.free.iter().copied().find(|&f| {
+            let Ok(stripe) = a.map.row_stripe_of_frame(f) else {
+                return false;
+            };
+            let lo = stripe.saturating_sub(radius);
+            let hi = (stripe + radius).min(a.max_stripe());
+            foreign_stripes.range(lo..=hi).next().is_none()
+        })
+    }
+
+    proptest::proptest! {
+        /// `alloc_isolated` picks the frame the per-call translation
+        /// picks, fallback to `alloc` included, over random
+        /// interleavings of isolated and first-fit allocations by three
+        /// tenants and the host, with tenant frames retired to the host
+        /// pool as a remap retires them, until the pool is exhausted.
+        /// `BankPartition`'s frames straddle rows at medium geometry,
+        /// so its isolated allocations always fall back.
+        #[test]
+        fn alloc_isolated_matches_per_call_translation(
+            scheme in proptest::prop_oneof![
+                proptest::strategy::Just(MappingScheme::CacheLineInterleave),
+                proptest::strategy::Just(MappingScheme::RubixScramble { seed: 0xA5A5 }),
+                proptest::strategy::Just(MappingScheme::BankPartition),
+            ],
+            radius in 1u32..4,
+            steps in proptest::prop::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    0usize..4,
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<u64>(),
+                ),
+                1..64,
+            ),
+        ) {
+            let domains = [DomainId(1), DomainId(2), DomainId(3), DomainId::HOST];
+            let mut a = FrameAllocator::new(PlacementPolicy::Default, map(scheme)).unwrap();
+            for d in domains {
+                a.register_domain(d).unwrap();
+            }
+            let mut tenant_frames = Vec::new();
+            let mut i = 0;
+            // Every step allocates one frame, so the loop ends.
+            while a.free_frames() > 0 {
+                let (isolated, who, retire, pick) = steps[i % steps.len()];
+                i += 1;
+                let d = domains[who];
+                let f = if isolated {
+                    let want = isolated_by_translation(&a, d, radius)
+                        .or_else(|| a.clone().alloc(d).ok());
+                    let got = a.alloc_isolated(d, radius).ok();
+                    proptest::prop_assert_eq!(got, want, "step {}", i);
+                    got.expect("a free frame exists")
+                } else {
+                    a.alloc(d).unwrap()
+                };
+                proptest::prop_assert_eq!(a.owner_of(f), Some(d));
+                if !d.is_host() {
+                    tenant_frames.push(f);
+                }
+                if retire && !tenant_frames.is_empty() {
+                    let k = (pick % tenant_frames.len() as u64) as usize;
+                    a.reassign(tenant_frames.swap_remove(k), DomainId::HOST).unwrap();
+                }
+            }
+            proptest::prop_assert!(a.alloc_isolated(DomainId(1), radius).is_err());
+        }
     }
 
     #[test]

@@ -85,11 +85,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Adds `delta` to counter `name` (creating it at 0).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
     /// Sets counter `name` to `value`, overwriting any prior value.
     /// Used to publish a count kept outside the registry (the
     /// scheduler's bank pricings) at snapshot time.
@@ -161,8 +156,8 @@ mod tests {
     #[test]
     fn registry_snapshot_round_trips_through_json() {
         let mut reg = MetricsRegistry::default();
-        reg.counter_add("a.b", 3);
-        reg.counter_add("a.b", 2);
+        reg.counter_set("a.b", 3);
+        reg.counter_set("a.b", 5);
         reg.counter_set("c", 9);
         reg.observe("h", 0);
         reg.observe("h", 1000);

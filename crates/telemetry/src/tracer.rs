@@ -59,11 +59,6 @@ impl Tracer {
         std::mem::take(&mut *self.records())
     }
 
-    /// Adds `delta` to counter `name`.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.metrics(|m| m.counter_add(name, delta));
-    }
-
     /// Sets counter `name` to `value`.
     pub fn counter_set(&self, name: &str, value: u64) {
         self.metrics(|m| m.counter_set(name, value));
@@ -147,8 +142,8 @@ mod tests {
         let u = t.clone();
         t.emit(Cycle(1), flip(1));
         u.emit(Cycle(2), flip(2));
-        u.counter_add("n", 1);
-        t.counter_add("n", 2);
+        u.counter_set("n", 1);
+        t.counter_set("n", 3);
         assert_eq!(t.take_records().len(), 2);
         assert_eq!(u.snapshot_metrics().counters["n"], 3);
     }
